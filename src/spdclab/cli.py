@@ -10,7 +10,8 @@ Subcommands::
     spdclab sweep     CONFIG --key K --values V1,V2,... -o DIR CMD
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard tripped.
-``SPDC_LAB_THREADS`` caps sweep parallelism (default 1, sequential).
+``SPDC_LAB_THREADS`` caps sweep parallelism (default 1, sequential); the
+sweep never starts more workers than it has values or the machine has CPUs.
 """
 from __future__ import annotations
 
@@ -83,6 +84,17 @@ def _sweep_one(args_tuple):
     return dest
 
 
+def _thread_limit() -> int:
+    raw = os.environ.get("SPDC_LAB_THREADS", "1")
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ConfigError(f"SPDC_LAB_THREADS must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise ConfigError(f"SPDC_LAB_THREADS must be at least 1, got {limit}")
+    return limit
+
+
 def _run_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -90,7 +102,7 @@ def _run_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     jobs = [(text, args.key, v, args.outdir, args.product) for v in values]
-    workers = int(os.environ.get("SPDC_LAB_THREADS", "1"))
+    workers = min(_thread_limit(), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

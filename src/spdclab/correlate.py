@@ -11,10 +11,12 @@ Counting conventions:
 * a triple (t_i, t_s1, t_s2) counts at delay tau when
   |t_s1 - t_i| <= tau_c and |t_s2 - t_i - tau| <= tau_c.
 
-The counters collect all pairwise time differences that can ever land in a
-window with one vectorized merge pass over the sorted streams (cost scales
-with stream length plus window occupancy), then answer every requested
-delay by binary search on the sorted differences.  Counting a stream in
+Both counters run one edge-binned kernel (the arbitrary-bin method of
+Laurence et al., Opt. Lett. 31, 829 (2006)): per chunk of reference events
+a vectorized merge pass finds every difference that can land in a window,
+bins it between the sorted window edges (at most 2 x n_delays) and adds the
+bin totals up; a window count is a difference of cumulative bin totals.
+Memory is set by the chunk, not by the run.  Counting a stream in
 consecutive chunks gives bit-identical results, which is the sharding
 contract for parallel or out-of-core operation.
 """
@@ -36,6 +38,10 @@ __all__ = [
     "estimate_g2bar_si",
     "estimate_gbar2_c",
 ]
+
+
+#: reference events per counting chunk
+CHUNK_SIZE = 1 << 16
 
 
 class RateEstimate(NamedTuple):
@@ -85,54 +91,44 @@ def _window_bounds(
     return grid - tauc, grid + tauc + 1
 
 
-def _collect_diffs(
+def _edge_binned_counts(
     ta: np.ndarray,
     tb: np.ndarray,
-    lo: int,
-    hi: int,
-    weights: np.ndarray | None,
-    chunk_size: int | None,
-):
-    """All differences ta_i - tb_j within [lo, hi), sorted, with weights.
+    lows: np.ndarray,
+    highs: np.ndarray,
+    chunk_size: int,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per window k, the (weighted) count of ta_i - tb_j in [lows[k], highs[k]).
 
-    Chunking over ``ta`` is the sharding mechanism: each reference event is
-    owned by exactly one chunk, so chunked and unchunked counts agree
-    exactly.
+    Each reference event of ``ta`` is owned by exactly one chunk and the bin
+    totals are exact integers, so chunked and unchunked counts agree exactly.
     """
-    if chunk_size is None:
-        chunk_size = ta.size or 1
-    diff_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
+    # a repeated edge only adds an empty bin, so no dedup is needed
+    edges = np.sort(np.concatenate((lows, highs)))
+    lo, hi = int(edges[0]), int(edges[-1])
+    # bin b holds the differences d with edges[b] <= d < edges[b + 1]
+    totals = np.zeros(edges.size - 1, dtype=np.int64)
     for start in range(0, ta.size, chunk_size):
         chunk = ta[start : start + chunk_size]
         j0 = np.searchsorted(tb, chunk - hi + 1, side="left")
         j1 = np.searchsorted(tb, chunk - lo, side="right")
         counts = j1 - j0
-        idx = _ragged_ranges(j0, j1)
-        diff_parts.append(np.repeat(chunk, counts) - tb[idx])
-        if weights is not None:
-            weight_parts.append(np.repeat(weights[start : start + chunk_size], counts))
-    diffs = np.concatenate(diff_parts) if diff_parts else np.empty(0, np.int64)
-    order = np.argsort(diffs, kind="stable")
-    diffs = diffs[order]
-    if weights is None:
-        return diffs, None
-    w = np.concatenate(weight_parts)[order] if weight_parts else np.empty(0, np.int64)
-    return diffs, w
-
-
-def _windowed_counts(
-    diffs: np.ndarray,
-    weights: np.ndarray | None,
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> np.ndarray:
-    i0 = np.searchsorted(diffs, lows, side="left")
-    i1 = np.searchsorted(diffs, highs, side="left")
-    if weights is None:
-        return (i1 - i0).astype(np.int64)
-    prefix = np.concatenate(([0], np.cumsum(weights)))
-    return (prefix[i1] - prefix[i0]).astype(np.int64)
+        diffs = np.repeat(chunk, counts) - tb[_ragged_ranges(j0, j1)]
+        bins = np.searchsorted(edges, diffs, side="right") - 1
+        if weights is None:
+            totals += np.bincount(bins, minlength=totals.size)
+        else:
+            w = np.repeat(weights[start : start + chunk_size], counts)
+            # integer weights sum exactly in float64 below 2**53 per chunk
+            totals += np.bincount(bins, w, minlength=totals.size).astype(np.int64)
+    cumulative = np.concatenate(([0], np.cumsum(totals)))
+    return (
+        cumulative[np.searchsorted(edges, highs)]
+        - cumulative[np.searchsorted(edges, lows)]
+    )
 
 
 def _common_duration(*streams: EventStream) -> float:
@@ -149,12 +145,13 @@ def pair_histogram(
     tauc: float,
     *,
     one_sided: bool = False,
-    chunk_size: int | None = None,
+    chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
     """Count pairs with t_a - t_b in the window around every grid delay.
 
     ``one_sided=True`` switches to the alternative convention
     t_a - t_b - tau in [0, 2 tau_c); the default window is centered.
+    ``chunk_size`` reference events of ``a`` are counted at a time.
     """
     _check_sorted(a)
     _check_sorted(b)
@@ -164,11 +161,7 @@ def pair_histogram(
     delays = np.asarray(delays, dtype=float)
     grid = np.rint(delays * TICKS_PER_SECOND).astype(np.int64)
     lows, highs = _window_bounds(grid, _ticks(tauc), one_sided)
-    diffs, _ = _collect_diffs(
-        a.timestamps, b.timestamps, int(lows.min()), int(highs.max()),
-        None, chunk_size,
-    )
-    counts = _windowed_counts(diffs, None, lows, highs)
+    counts = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs, chunk_size)
     return Histogram(delays, counts, duration, tauc)
 
 
@@ -179,7 +172,7 @@ def triple_histogram(
     delays,
     tauc: float,
     *,
-    chunk_size: int | None = None,
+    chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
     """Count (idler, signal1, signal2) triples per grid delay.
 
@@ -187,6 +180,7 @@ def triple_histogram(
     the delay-tau signal2 window); the product form is realized as a
     weighted difference histogram between idler and signal2 with the
     signal1 gate occupancy as weight, which keeps one merge pass per stream.
+    ``chunk_size`` gated idlers are counted at a time.
     """
     _check_sorted(i)
     _check_sorted(s1)
@@ -205,13 +199,9 @@ def triple_histogram(
     delays = np.asarray(delays, dtype=float)
     grid = np.rint(delays * TICKS_PER_SECOND).astype(np.int64)
     lows, highs = _window_bounds(grid, tc, one_sided=False)
-    # idlers are the chunked reference so each one carries its gate weight
-    diffs, weights = _collect_diffs(
-        ti, s2.timestamps, int(1 - highs.max()), int(1 - lows.min()),
-        n1, chunk_size,
-    )
-    # diffs are ti - ts2; window asks for ts2 - ti, so mirror the bounds
-    counts = _windowed_counts(-diffs[::-1], weights[::-1], lows, highs)
+    # idlers are the chunked reference so each one carries its gate weight;
+    # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
+    counts = _edge_binned_counts(ti, s2.timestamps, 1 - highs, 1 - lows, chunk_size, n1)
     return Histogram(delays, counts, duration, tauc)
 
 

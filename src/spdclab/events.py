@@ -191,7 +191,12 @@ def _to_stream(
     ticks = np.rint(times * TICKS_PER_SECOND).astype(np.int64)
     dur_ticks = int(round(duration * TICKS_PER_SECOND))
     ticks = np.clip(ticks, 0, dur_ticks)
-    ticks = np.unique(ticks)
+    # same-tick events merge into one: np.unique by sort + adjacent mask,
+    # which avoids np.unique's much slower hash path for integers
+    ticks = np.sort(ticks)
+    first = np.ones(ticks.size, dtype=bool)
+    first[1:] = ticks[1:] != ticks[:-1]
+    ticks = ticks[first]
     return EventStream(channel, ticks, dur_ticks)
 
 

@@ -233,8 +233,10 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
                     scenario=scenario)
     out["g2bar_si"] = path
 
-    zero = correlate.pair_histogram(s1, idler, np.array([0.0]), tauc)
-    pairs0 = float(zero.rates[0])
+    zero = np.flatnonzero(delays == 0.0)
+    if zero.size != 1:
+        raise GridError("delay grid must hold exactly one zero delay")
+    pairs0 = float(pairs_s1.rates[zero[0]])
     gbar2c = correlate.estimate_gbar2_c(triples, pairs0, pairs_s2, rates["idler"])
     path = os.path.join(outdir, "gbar2_c.csv")
     write_curve_csv(path, gbar2c.delays, gbar2c.values, gbar2c.stderr,

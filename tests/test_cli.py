@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import numpy as np
@@ -171,3 +172,47 @@ class TestCliCommands:
         ])
         assert code == 0
         assert (out / "source_rate_hz=1e7" / "g2_si.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_sweep_bad_thread_env(self, config_path, tmp_path, monkeypatch,
+                                  capsys, value):
+        monkeypatch.setenv("SPDC_LAB_THREADS", value)
+        out = tmp_path / "bad"
+        code = main([
+            "sweep", config_path, "--key", "source.rate_hz",
+            "--values", "1e7,2e7", "-o", str(out), "analytic",
+        ])
+        assert code == 2
+        assert "SPDC_LAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_workers_capped_at_jobs(self, config_path, tmp_path,
+                                          monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the requested worker count and runs jobs in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setenv("SPDC_LAB_THREADS", "1000")
+        out = tmp_path / "capped"
+        code = main([
+            "sweep", config_path, "--key", "source.rate_hz",
+            "--values", "1e7,2e7", "-o", str(out), "analytic",
+        ])
+        assert code == 0
+        assert started == [2]
+        assert (out / "source_rate_hz=2e7" / "g2_si.csv").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdclab import (
     DetectorChain,
@@ -107,6 +109,13 @@ class TestPairHistogram:
             h = pair_histogram(a, b, delays, 10e-9, chunk_size=chunk)
             assert np.array_equal(h.counts, base.counts)
 
+    def test_rejects_nonpositive_chunk(self):
+        a = poisson_stream("signal1", 1e6, 1e-4, 37)
+        b = poisson_stream("idler", 1e6, 1e-4, 38)
+        for chunk in (0, -1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                pair_histogram(a, b, np.array([0.0]), 1e-9, chunk_size=chunk)
+
     def test_rejects_unsorted(self):
         a = poisson_stream("signal1", 1e6, 1e-4, 33)
         a.timestamps[:2] = a.timestamps[:2][::-1]
@@ -162,6 +171,92 @@ class TestTripleHistogram:
         for chunk in (1, 23, 4096):
             h = triple_histogram(i, s1, s2, delays, 20e-9, chunk_size=chunk)
             assert np.array_equal(h.counts, base.counts)
+
+
+# Property tests on tick-level streams: a few dozen events over a run of at
+# most 120 ticks, so window edges, run edges and empty streams all occur.
+_PROPERTY = settings(max_examples=40, deadline=None)
+_CHUNKS = st.sampled_from([1, 2, 7, "above", "default"])
+
+
+def _tick_stream(channel, ticks, duration):
+    return EventStream(channel, np.array(sorted(ticks), dtype=np.int64), duration)
+
+
+def _chunk_kwargs(chunk, n_reference):
+    if chunk == "default":
+        return {}
+    if chunk == "above":
+        return {"chunk_size": n_reference + 1}
+    return {"chunk_size": chunk}
+
+
+def _edge_hits(anchor, grid, tc, duration):
+    """Ticks at and next to every window edge of ``grid`` around ``anchor``."""
+    offsets = (-tc - 1, -tc, -1, 0, tc, tc + 1, 2 * tc - 1, 2 * tc)
+    return {
+        anchor + g + o for g in grid for o in offsets
+        if 0 <= anchor + g + o <= duration
+    }
+
+
+@st.composite
+def _counting_case(draw, n_streams):
+    duration = draw(st.integers(1, 120))
+    tc = draw(st.integers(1, 12))
+    events = st.sets(st.integers(0, duration), max_size=25)
+    streams = [draw(events) for _ in range(n_streams)]
+    span = duration + 2 * tc
+    grid = draw(st.lists(st.integers(-span, span), min_size=1, max_size=6))
+    if streams[0] and draw(st.booleans()):
+        # partners of the first reference event exactly on, and next to,
+        # every window edge (delay 0 is the triple's signal1 gate), plus
+        # events at both run edges
+        hits = _edge_hits(min(streams[0]), [0, *grid], tc, duration)
+        for partners in streams[1:]:
+            partners |= hits | {0, duration}
+    return streams, grid, tc, duration
+
+
+def _seconds(grid, tc):
+    return np.array(grid, dtype=np.int64) * 1e-15, tc * 1e-15
+
+
+class TestCountingProperties:
+    @_PROPERTY
+    @given(case=_counting_case(2), chunk=_CHUNKS, one_sided=st.booleans())
+    @example(case=([set(), set()], [0], 1, 10), chunk=1, one_sided=False)
+    @example(case=([{0, 10}, set()], [0], 1, 10), chunk=2, one_sided=True)
+    @example(case=([{0, 4, 10}, {0, 3, 10}], [-10, 0, 1, 10], 1, 10),
+             chunk="above", one_sided=False)
+    def test_pair_matches_oracle(self, case, chunk, one_sided):
+        (tb, ta), grid, tc, duration = case
+        a = _tick_stream("signal1", ta, duration)
+        b = _tick_stream("idler", tb, duration)
+        delays, tauc = _seconds(grid, tc)
+        h = pair_histogram(a, b, delays, tauc, one_sided=one_sided,
+                           **_chunk_kwargs(chunk, len(a)))
+        ref = brute_pair_counts(a.timestamps, b.timestamps, delays, tauc,
+                                one_sided=one_sided)
+        assert np.array_equal(h.counts, ref)
+
+    @_PROPERTY
+    @given(case=_counting_case(3), chunk=_CHUNKS)
+    @example(case=([set(), set(), set()], [0], 1, 10), chunk=1)
+    @example(case=([{0, 10}, {0, 1, 10}, set()], [0, 5], 1, 10), chunk=7)
+    @example(case=([{0, 5, 10}, {0, 4, 10}, {0, 6, 9, 10}], [-5, 0, 5], 1, 10),
+             chunk="default")
+    def test_triple_matches_oracle(self, case, chunk):
+        (ti, ts1, ts2), grid, tc, duration = case
+        i = _tick_stream("idler", ti, duration)
+        s1 = _tick_stream("signal1", ts1, duration)
+        s2 = _tick_stream("signal2", ts2, duration)
+        delays, tauc = _seconds(grid, tc)
+        h = triple_histogram(i, s1, s2, delays, tauc,
+                             **_chunk_kwargs(chunk, len(i)))
+        ref = brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
+                                  delays, tauc)
+        assert np.array_equal(h.counts, ref)
 
 
 class TestEstimators:

@@ -12,6 +12,7 @@ from spdclab import (
     singles_rate,
     estimate_g2bar_si,
 )
+from spdclab.events import _to_stream
 
 DESK = SourceParams(2e7, 1e-9)
 
@@ -180,6 +181,33 @@ class TestDetectorChain:
         # jittered idler differs from the unjittered one
         idler0, _, _ = apply_detector_chain(pairs, DetectorChain(), seed=15)
         assert not np.array_equal(idler.timestamps, idler0.timestamps)
+
+
+class TestToStream:
+    @pytest.mark.parametrize("jitter", [0.0, 4e-12])
+    def test_dedup_matches_np_unique(self, jitter):
+        # a 1000-tick run: repeated emission times collide on one tick, and
+        # times (or jitter) beyond both run edges pile up on tick 0 and 1000
+        duration = 1e-12
+        rng = np.random.default_rng(19)
+        times = np.repeat(rng.uniform(-0.5, 1.5, 300) * duration,
+                          rng.integers(1, 4, 300))
+        stream = _to_stream("idler", times, jitter, duration,
+                            np.random.default_rng(20))
+        if jitter:
+            times = times + np.random.default_rng(20).uniform(
+                -jitter / 2, jitter / 2, times.size)
+        ticks = np.clip(np.rint(times * 1e15).astype(np.int64), 0, 1000)
+        expected = np.unique(ticks)
+        assert np.array_equal(stream.timestamps, expected)
+        assert expected[0] == 0 and expected[-1] == 1000
+        assert np.sum(ticks == 0) > 1 and np.sum(ticks == 1000) > 1
+        assert expected.size < np.unique(times).size
+
+    def test_empty(self):
+        stream = _to_stream("idler", np.empty(0), 1e-9, 1e-12,
+                            np.random.default_rng(21))
+        assert len(stream) == 0 and stream.duration == 1000
 
 
 class TestStatisticalSignatures:
