@@ -21,7 +21,7 @@ import sys
 
 from . import runner
 from .params import ConfigError, GuardError, SpdcLabError
-from .scenario import load_scenario, parse_scenario
+from .scenario import _ALL_KEYS, load_scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +70,7 @@ def _sweep_one(args_tuple):
     text, key, value, outdir, product = args_tuple
     lines = [
         line for line in text.splitlines()
-        if not line.split("#", 1)[0].strip().startswith(key)
+        if line.split("#", 1)[0].partition("=")[0].strip() != key
     ]
     lines.append(f"{key} = {value}")
     scenario = parse_scenario("\n".join(lines))
@@ -96,6 +96,10 @@ def _thread_limit() -> int:
 
 
 def _run_sweep(args) -> int:
+    if args.key not in _ALL_KEYS:
+        raise ConfigError(
+            f"--key must be one of {', '.join(_ALL_KEYS)}, got {args.key!r}"
+        )
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
     values = [v.strip() for v in args.values.split(",") if v.strip()]

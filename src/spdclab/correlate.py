@@ -53,12 +53,6 @@ def _ticks(seconds: float) -> int:
     return int(round(seconds * TICKS_PER_SECOND))
 
 
-def _check_sorted(stream: EventStream) -> None:
-    ts = stream.timestamps
-    if ts.size and np.any(np.diff(ts) <= 0):
-        raise ValueError(f"stream {stream.channel} is not strictly sorted")
-
-
 def singles_rate(stream: EventStream) -> RateEstimate:
     """Singles rate of one channel with its Poisson standard error."""
     if stream.duration <= 0:
@@ -153,8 +147,6 @@ def pair_histogram(
     t_a - t_b - tau in [0, 2 tau_c); the default window is centered.
     ``chunk_size`` reference events of ``a`` are counted at a time.
     """
-    _check_sorted(a)
-    _check_sorted(b)
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(a, b)
@@ -182,9 +174,6 @@ def triple_histogram(
     signal1 gate occupancy as weight, which keeps one merge pass per stream.
     ``chunk_size`` gated idlers are counted at a time.
     """
-    _check_sorted(i)
-    _check_sorted(s1)
-    _check_sorted(s2)
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(i, s1, s2)

@@ -79,7 +79,11 @@ class PairList:
 
 @dataclass(frozen=True)
 class EventStream:
-    """Strictly sorted integer-tick timestamps of one detector channel."""
+    """Strictly sorted integer-tick timestamps of one detector channel.
+
+    ``timestamps`` is a read-only view, so the order checked here holds for
+    every consumer; the caller's own array stays writable.
+    """
 
     channel: str
     timestamps: np.ndarray
@@ -88,7 +92,8 @@ class EventStream:
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps, dtype=np.int64).view()
+        ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         if ts.size:
             if np.any(np.diff(ts) <= 0):

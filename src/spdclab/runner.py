@@ -7,6 +7,7 @@ carry units; dimensionless columns are plain ``value``/``stderr``.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -35,11 +36,33 @@ _UNIT_SUFFIX = {
 }
 
 
-def _atomic_write(path, text: str) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, os.fspath(path))
+def _atomic_write(path, chunks) -> None:
+    """Write an iterable of text chunks to ``path`` through ``path.tmp``.
+
+    The temporary file replaces ``path`` only once every chunk is written;
+    if producing or writing a chunk raises, it is removed instead.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    _atomic_write(path, ("\n".join(lines), "\n"))
+
+
+def _rows(*columns) -> list[str]:
+    """CSV body lines, one per row; every value prints as ``repr`` of its
+    Python scalar (``tolist`` turns numpy floats into Python floats)."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    return [",".join(map(repr, row)) for row in zip(*cols)]
 
 
 def _header(scenario: Scenario | None) -> list[str]:
@@ -54,29 +77,41 @@ def write_curve_csv(
 ) -> None:
     suffix = _UNIT_SUFFIX.get(unit, f"_{unit}")
     lines = _header(scenario)
+    columns = [delays, values]
     if stderr is None:
         lines.append(f"delay_s,value{suffix}")
-        for d, v in zip(delays, values):
-            lines.append(f"{float(d)!r},{float(v)!r}")
     else:
         lines.append(f"delay_s,value{suffix},stderr{suffix}")
-        for d, v, e in zip(delays, values, stderr):
-            lines.append(f"{float(d)!r},{float(v)!r},{float(e)!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        columns.append(stderr)
+    lines += _rows(*(np.asarray(c, dtype=float) for c in columns))
+    _write_lines(path, lines)
 
 
 def write_surface_csv(
     path, surface: CorrelationSurface, scenario: Scenario | None = None
 ) -> None:
+    """Stream the surface as ``t1_s,t2_s,value`` rows, t2 varying fastest.
+
+    Each axis label and each distinct value is formatted once: cells are
+    grouped by their float64 bit pattern, which keeps ``-0.0`` apart from
+    ``0.0``, so every cell prints as ``repr`` of its own Python float.
+    """
     suffix = _UNIT_SUFFIX.get(surface.unit, f"_{surface.unit}")
     lines = _header(scenario)
     lines.append(f"t1_s,t2_s,value{suffix}")
-    for i, a in enumerate(surface.t1):
-        for j, b in enumerate(surface.t2):
-            lines.append(
-                f"{float(a)!r},{float(b)!r},{float(surface.values[i, j])!r}"
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield "\n".join(lines) + "\n"
+        cols = [f",{b!r}," for b in surface.t2.tolist()]
+        values = np.ascontiguousarray(surface.values, dtype=np.float64)
+        bits, cells = np.unique(values.view(np.int64), return_inverse=True)
+        text = list(map(repr, bits.view(np.float64).tolist()))
+        for a, row in zip(surface.t1.tolist(), cells.reshape(values.shape)):
+            head = repr(a)
+            yield "\n".join([head + c + text[k] for c, k in zip(cols, row.tolist())])
+            yield "\n"
+
+    _atomic_write(path, chunks())
 
 
 def read_curve_csv(path):
@@ -165,7 +200,7 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     lines.append(f"nssi_long_per_s3,{pred.nssi_long!r}")
     lines.append(f"gbar2c_short,{pred.gbar2c_short!r}")
     ppath = os.path.join(outdir, "plateaus.csv")
-    _atomic_write(ppath, "\n".join(lines) + "\n")
+    _write_lines(ppath, lines)
     out["plateaus"] = ppath
 
     if with_surface:
@@ -207,10 +242,11 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     rates = {name: correlate.singles_rate(streams[name]) for name in streams}
     lines = _header(scenario)
     lines.append("channel,rate_per_s,stderr_per_s")
-    for name in ("idler", "signal1", "signal2"):
-        lines.append(f"{name},{rates[name].value!r},{rates[name].stderr!r}")
+    names = ("idler", "signal1", "signal2")
+    rows = _rows([rates[n].value for n in names], [rates[n].stderr for n in names])
+    lines += [f"{name},{row}" for name, row in zip(names, rows)]
     spath = os.path.join(outdir, "singles.csv")
-    _atomic_write(spath, "\n".join(lines) + "\n")
+    _write_lines(spath, lines)
     out["singles"] = spath
 
     pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
@@ -222,9 +258,8 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
         path = os.path.join(outdir, name + ".csv")
         lines = _header(scenario)
         lines.append("delay_s,counts")
-        for d, c in zip(hist.delays, hist.counts):
-            lines.append(f"{d!r},{int(c)}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        lines += _rows(hist.delays, hist.counts)
+        _write_lines(path, lines)
         out[name] = path
 
     g2bar = correlate.estimate_g2bar_si(pairs_s1, rates["signal1"], rates["idler"])
@@ -265,7 +300,6 @@ def run_compare(path_a, path_b, out_path=None) -> CompareResult:
     if out_path is not None:
         lines = [f"# compare = {os.fspath(path_a)} vs {os.fspath(path_b)}",
                  f"# max_abs_z = {max_abs!r}", "delay_s,z"]
-        for d, value in zip(da, z):
-            lines.append(f"{float(d)!r},{float(value)!r}")
-        _atomic_write(out_path, "\n".join(lines) + "\n")
+        lines += _rows(da, z)
+        _write_lines(out_path, lines)
     return CompareResult(da, z, max_abs)

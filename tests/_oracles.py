@@ -50,3 +50,12 @@ def numeric_smear(curve_delays, curve_values, kernel_values, step):
         [np.sum(curve_values[j : j + 2 * m + 1] * rev) * step for j in range(n_out)]
     )
     return curve_delays[m : len(curve_delays) - m], out
+
+
+def surface_csv_body(t1, t2, values):
+    """Surface CSV body (no header) built with one f-string per cell."""
+    lines = []
+    for i, a in enumerate(t1):
+        for j, b in enumerate(t2):
+            lines.append(f"{float(a)!r},{float(b)!r},{float(values[i, j])!r}")
+    return "\n".join(lines) + "\n"

@@ -4,9 +4,16 @@ import os
 import numpy as np
 import pytest
 
-from spdclab import ConfigError, parse_scenario
+from spdclab import ConfigError, CorrelationSurface, parse_scenario
 from spdclab.cli import main
-from spdclab.runner import read_curve_csv, run_compare, write_curve_csv
+from spdclab.runner import (
+    read_curve_csv,
+    run_compare,
+    write_curve_csv,
+    write_surface_csv,
+)
+
+from _oracles import surface_csv_body
 
 DESK_CONFIG = """
 # desk-scale reference scenario
@@ -104,6 +111,25 @@ class TestCliCommands:
         assert (cnt / "gbar2_c.csv").exists()
         assert (cnt / "singles.csv").exists()
 
+    def test_product_fields_parse_as_numbers(self, config_path, tmp_path):
+        sim, cnt, sm = tmp_path / "sim", tmp_path / "cnt", tmp_path / "sm"
+        assert main(["simulate", config_path, "-o", str(sim)]) == 0
+        assert main(["count", config_path, str(sim / "events.evt"),
+                     "-o", str(cnt)]) == 0
+        assert main(["smear", config_path, "-o", str(sm), "--surface"]) == 0
+        products = sorted(cnt.glob("*.csv")) + sorted(sm.glob("*.csv"))
+        assert len(products) == 11
+        for path in products:
+            body = [ln for ln in path.read_text().splitlines()
+                    if not ln.startswith("#")]
+            assert len(body) > 1, path.name
+            for line in body[1:]:
+                fields = line.split(",")
+                if path.name in ("singles.csv", "plateaus.csv"):
+                    fields = fields[1:]  # a channel or quantity label
+                for field in fields:
+                    float(field)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("source.rate_hz = 1e6\n")
@@ -186,8 +212,8 @@ class TestCliCommands:
         assert "SPDC_LAB_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_workers_capped_at_jobs(self, config_path, tmp_path,
-                                          monkeypatch):
+    @staticmethod
+    def _serial_pool(monkeypatch):
         started = []
 
         class SerialPool:
@@ -206,6 +232,11 @@ class TestCliCommands:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return started
+
+    def test_sweep_workers_capped_at_jobs(self, config_path, tmp_path,
+                                          monkeypatch):
+        started = self._serial_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setenv("SPDC_LAB_THREADS", "1000")
         out = tmp_path / "capped"
@@ -216,3 +247,53 @@ class TestCliCommands:
         assert code == 0
         assert started == [2]
         assert (out / "source_rate_hz=2e7" / "g2_si.csv").exists()
+
+    def test_sweep_unknown_key(self, config_path, tmp_path, monkeypatch,
+                               capsys):
+        started = self._serial_pool(monkeypatch)
+        monkeypatch.setenv("SPDC_LAB_THREADS", "2")
+        out = tmp_path / "badkey"
+        code = main([
+            "sweep", config_path, "--key", "window.bin",
+            "--values", "1e-10,2e-10", "-o", str(out), "analytic",
+        ])
+        assert code == 2
+        assert "--key" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
+
+
+class TestSurfaceCsv:
+    @staticmethod
+    def _surface():
+        values = np.array([
+            [0.0, -0.0, np.nan, np.inf, -np.inf],
+            [5e-324, 0.1 + 0.2, 0.3, 0.1 + 0.2, 1e300],
+            [-2.5e-8, 0.0, 0.1 + 0.2, -0.0, 7.0],
+        ])
+        return CorrelationSurface(
+            np.arange(3) * 5e-11 - 5e-11, np.arange(5) * 5e-11 - 1e-10, values
+        )
+
+    def test_body_matches_per_cell_reference(self, tmp_path):
+        surface = self._surface()
+        path = tmp_path / "surface.csv"
+        write_surface_csv(path, surface)
+        text = path.read_text()
+        header, _, body = text.partition("t1_s,t2_s,value_per_s3\n")
+        assert all(ln.startswith("#") for ln in header.splitlines())
+        assert body == surface_csv_body(surface.t1, surface.t2, surface.values)
+        assert "-0.0" in body and "5e-324" in body and "0.30000000000000004" in body
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "surface.csv"
+        write_surface_csv(path, self._surface())
+        before = path.read_text()
+        broken = self._surface()
+        broken.values = broken.values.astype(object)
+        broken.values[1, 2] = "not a number"
+        with pytest.raises(ValueError):
+            write_surface_csv(path, broken)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == before

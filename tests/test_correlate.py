@@ -117,11 +117,16 @@ class TestPairHistogram:
                 pair_histogram(a, b, np.array([0.0]), 1e-9, chunk_size=chunk)
 
     def test_rejects_unsorted(self):
+        # the counters trust EventStream's order check, so no unsorted
+        # stream may be built or made by writing into a sorted one
         a = poisson_stream("signal1", 1e6, 1e-4, 33)
-        a.timestamps[:2] = a.timestamps[:2][::-1]
-        b = poisson_stream("idler", 1e6, 1e-4, 34)
-        with pytest.raises(ValueError):
-            pair_histogram(a, b, np.array([0.0]), 1e-9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EventStream("signal1", a.timestamps[::-1], a.duration)
+        with pytest.raises(ValueError, match="read-only"):
+            a.timestamps[:2] = a.timestamps[:2][::-1]
+        ticks = a.timestamps.copy()
+        EventStream("signal1", ticks, a.duration)
+        ticks[0] = ticks[1]  # the caller's array is not frozen
 
     def test_rejects_mismatched_duration(self):
         a = poisson_stream("signal1", 1e6, 1e-4, 35)
