@@ -36,8 +36,6 @@ from .events import (
 )
 from .evtfile import read_events, write_events
 from .model import (
-    CorrelationPair,
-    correlation_pair,
     g2_c,
     g2_si,
     g2_ss_unconditional,

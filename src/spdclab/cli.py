@@ -75,13 +75,14 @@ def _sweep_one(args_tuple):
     lines.append(f"{key} = {value}")
     scenario = parse_scenario("\n".join(lines))
     dest = os.path.join(outdir, f"{key.replace('.', '_')}={value}")
-    if product == "analytic":
-        runner.run_analytic(scenario, dest)
-    elif product == "smear":
-        runner.run_smear(scenario, dest)
-    else:
-        runner.run_simulate(scenario, dest)
+    _run_product(product, scenario, dest)
     return dest
+
+
+def _run_product(command: str, scenario, outdir, **options) -> dict[str, str]:
+    """Run ``runner.run_<command>``; it is looked up per call, so a function
+    patched into ``runner`` is the one that runs."""
+    return getattr(runner, f"run_{command}")(scenario, outdir=outdir, **options)
 
 
 def _thread_limit() -> int:
@@ -122,26 +123,20 @@ def _run_sweep(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analytic":
-            products = runner.run_analytic(load_scenario(args.config), args.outdir)
-        elif args.command == "smear":
-            products = runner.run_smear(
-                load_scenario(args.config), args.outdir, with_surface=args.surface
-            )
-        elif args.command == "simulate":
-            products = runner.run_simulate(load_scenario(args.config), args.outdir)
-        elif args.command == "count":
-            products = runner.run_count(
-                load_scenario(args.config), args.events, args.outdir
-            )
-        elif args.command == "compare":
+        if args.command == "compare":
             result = runner.run_compare(args.curve_a, args.curve_b, args.out)
             print(f"max_abs_z = {result.max_abs_z:.6g}")
             return EXIT_OK
-        elif args.command == "sweep":
+        if args.command == "sweep":
             return _run_sweep(args)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        options = {}
+        if args.command == "smear":
+            options["with_surface"] = args.surface
+        elif args.command == "count":
+            options["evt_path"] = args.events
+        products = _run_product(
+            args.command, load_scenario(args.config), args.outdir, **options
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

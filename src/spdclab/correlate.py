@@ -28,7 +28,7 @@ import numpy as np
 
 from .curves import Histogram, EstimatorCurve
 from .events import EventStream
-from .params import TICKS_PER_SECOND
+from .params import seconds_to_ticks
 
 __all__ = [
     "RateEstimate",
@@ -47,10 +47,6 @@ CHUNK_SIZE = 1 << 16
 class RateEstimate(NamedTuple):
     value: float
     stderr: float
-
-
-def _ticks(seconds: float) -> int:
-    return int(round(seconds * TICKS_PER_SECOND))
 
 
 def singles_rate(stream: EventStream) -> RateEstimate:
@@ -76,13 +72,10 @@ def _ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)
 
 
-def _window_bounds(
-    grid: np.ndarray, tauc: int, one_sided: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    # inclusive lower, exclusive upper, in ticks
-    if one_sided:
-        return grid, grid + 2 * tauc
-    return grid - tauc, grid + tauc + 1
+def _window_bounds(delays: np.ndarray, tauc: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive lower and exclusive upper tick bounds of every centred window."""
+    grid, tc = seconds_to_ticks(delays), seconds_to_ticks(tauc)
+    return grid - tc, grid + tc + 1
 
 
 def _edge_binned_counts(
@@ -138,21 +131,17 @@ def pair_histogram(
     delays,
     tauc: float,
     *,
-    one_sided: bool = False,
     chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
     """Count pairs with t_a - t_b in the window around every grid delay.
 
-    ``one_sided=True`` switches to the alternative convention
-    t_a - t_b - tau in [0, 2 tau_c); the default window is centered.
     ``chunk_size`` reference events of ``a`` are counted at a time.
     """
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(a, b)
     delays = np.asarray(delays, dtype=float)
-    grid = np.rint(delays * TICKS_PER_SECOND).astype(np.int64)
-    lows, highs = _window_bounds(grid, _ticks(tauc), one_sided)
+    lows, highs = _window_bounds(delays, tauc)
     counts = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs, chunk_size)
     return Histogram(delays, counts, duration, tauc)
 
@@ -177,7 +166,7 @@ def triple_histogram(
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(i, s1, s2)
-    tc = _ticks(tauc)
+    tc = seconds_to_ticks(tauc)
     ti = i.timestamps
     n1 = (
         np.searchsorted(s1.timestamps, ti + tc, side="right")
@@ -186,8 +175,7 @@ def triple_histogram(
     gated = n1 > 0
     ti, n1 = ti[gated], n1[gated]
     delays = np.asarray(delays, dtype=float)
-    grid = np.rint(delays * TICKS_PER_SECOND).astype(np.int64)
-    lows, highs = _window_bounds(grid, tc, one_sided=False)
+    lows, highs = _window_bounds(delays, tauc)
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
     counts = _edge_binned_counts(ti, s2.timestamps, 1 - highs, 1 - lows, chunk_size, n1)

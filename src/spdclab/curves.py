@@ -28,6 +28,16 @@ def _check_uniform(delays: np.ndarray) -> float:
     return step
 
 
+def _grid_index(grid: np.ndarray, x: float) -> int:
+    """Index of the point of ``grid`` at ``x``; raises ``GridError`` when
+    ``x`` is further than 1e-6 of the grid spacing from every point."""
+    i = int(np.argmin(np.abs(grid - x)))
+    spacing = np.min(np.abs(np.diff(grid))) if grid.size > 1 else 0.0
+    if not abs(grid[i] - x) <= 1e-6 * spacing:
+        raise GridError(f"{x} is not a point of the grid [{grid[0]}, {grid[-1]}]")
+    return i
+
+
 @dataclass
 class CorrelationCurve:
     """A sampled one-dimensional delay curve on a uniform grid."""
@@ -51,11 +61,7 @@ class CorrelationCurve:
 
     def value_at(self, delay: float) -> float:
         """Value at a grid point; raises if ``delay`` is off-grid."""
-        idx = (delay - self.delays[0]) / self.step
-        i = int(round(idx))
-        if i < 0 or i >= self.delays.size or abs(idx - i) > 1e-6:
-            raise GridError(f"delay {delay} is not on the curve grid")
-        return float(self.values[i])
+        return float(self.values[_grid_index(self.delays, delay)])
 
 
 @dataclass
@@ -86,11 +92,8 @@ class CorrelationSurface:
         return float(self.t1[1] - self.t1[0])
 
     def value_at(self, a: float, b: float) -> float:
-        i = int(round((a - self.t1[0]) / self.step))
-        j = int(round((b - self.t2[0]) / self.step))
-        if not (0 <= i < self.t1.size and 0 <= j < self.t2.size):
-            raise GridError(f"point ({a}, {b}) is outside the surface grid")
-        return float(self.values[i, j])
+        """Value at a grid point; raises if ``(a, b)`` is off-grid."""
+        return float(self.values[_grid_index(self.t1, a), _grid_index(self.t2, b)])
 
 
 @dataclass
@@ -135,9 +138,9 @@ class EstimatorCurve:
             raise GridError("delays, values and stderr must have equal shapes")
 
     def value_at(self, delay: float) -> float:
-        i = int(np.argmin(np.abs(self.delays - delay)))
-        return float(self.values[i])
+        """Value at a grid point; raises if ``delay`` is off-grid."""
+        return float(self.values[_grid_index(self.delays, delay)])
 
     def stderr_at(self, delay: float) -> float:
-        i = int(np.argmin(np.abs(self.delays - delay)))
-        return float(self.stderr[i])
+        """Standard error at a grid point; raises if ``delay`` is off-grid."""
+        return float(self.stderr[_grid_index(self.delays, delay)])

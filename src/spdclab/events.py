@@ -28,6 +28,8 @@ from .params import (
     DetectorChain,
     GuardError,
     SourceParams,
+    duration_to_ticks,
+    seconds_to_ticks,
 )
 
 __all__ = [
@@ -59,17 +61,13 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PairList:
-    """Emission times of signal/idler pairs plus their coherence-cell index."""
+    """Sorted emission times of signal/idler pairs in seconds."""
 
     times: np.ndarray
-    cells: np.ndarray
     duration: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.int64))
-        if self.times.shape != self.cells.shape:
-            raise ValueError("times and cells must align")
         if self.times.size and np.any(np.diff(self.times) < 0):
             raise ValueError("pair times must be sorted")
 
@@ -81,8 +79,9 @@ class PairList:
 class EventStream:
     """Strictly sorted integer-tick timestamps of one detector channel.
 
-    ``timestamps`` is a read-only view, so the order checked here holds for
-    every consumer; the caller's own array stays writable.
+    ``timestamps`` is a read-only array that owns its memory (any other
+    input is copied), so no caller can write into it and the order checked
+    here holds for every consumer.
     """
 
     channel: str
@@ -92,8 +91,10 @@ class EventStream:
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        ts = np.asarray(self.timestamps, dtype=np.int64).view()
-        ts.flags.writeable = False
+        ts = np.asarray(self.timestamps, dtype=np.int64)
+        if ts.flags.writeable or not ts.flags.owndata:
+            ts = ts.copy()
+            ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         if ts.size:
             if np.any(np.diff(ts) <= 0):
@@ -115,10 +116,7 @@ def _pairs_from_cell_draws(
 ) -> PairList:
     cells = np.repeat(occupied, counts)
     times = (cells + rng.random(cells.size)) * dt
-    keep = times < duration
-    times, cells = times[keep], cells[keep]
-    order = np.argsort(times, kind="stable")
-    return PairList(times[order], cells[order], duration)
+    return PairList(np.sort(times[times < duration]), duration)
 
 
 def gen_thermal_cells(
@@ -142,7 +140,7 @@ def gen_thermal_cells(
     n_cells = int(np.ceil(duration / dt))
     rng = _substream(seed, _SUB_PAIRGEN)
     if n_cells == 0:
-        return PairList(np.empty(0), np.empty(0, np.int64), duration)
+        return PairList(np.empty(0), duration)
     p_occupied = mu / (1.0 + mu)
     # occupied-cell indices via cumulative geometric gaps
     chunks: list[np.ndarray] = []
@@ -168,20 +166,16 @@ def gen_poisson_pairs(
 
     Poisson counts per cell with uniform times inside each cell are exactly
     a homogeneous Poisson process of rate R, so the total count is drawn
-    once and times are placed uniformly; cell indices are derived from the
-    times.  This is the unbunched null model against which thermal cell
-    statistics are contrasted.
+    once and times are placed uniformly.  This is the unbunched null model
+    against which thermal cell statistics are contrasted.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    dt = params.coherence_time
     rng = _substream(seed, _SUB_PAIRGEN)
     if duration == 0:
-        return PairList(np.empty(0), np.empty(0, np.int64), duration)
+        return PairList(np.empty(0), duration)
     total = rng.poisson(params.pair_rate * duration)
-    times = np.sort(rng.random(total) * duration)
-    cells = np.floor_divide(times, dt).astype(np.int64)
-    return PairList(times, cells, duration)
+    return PairList(np.sort(rng.random(total) * duration), duration)
 
 
 def _to_stream(
@@ -191,17 +185,20 @@ def _to_stream(
     duration: float,
     rng: np.random.Generator,
 ) -> EventStream:
+    dur_ticks = duration_to_ticks(duration)
     if jitter_width > 0 and times.size:
         times = times + rng.uniform(-jitter_width / 2, jitter_width / 2, times.size)
-    ticks = np.rint(times * TICKS_PER_SECOND).astype(np.int64)
-    dur_ticks = int(round(duration * TICKS_PER_SECOND))
-    ticks = np.clip(ticks, 0, dur_ticks)
+    # clipping in seconds rounds to the same ticks as clipping the ticks, and
+    # keeps jitter past the run end from overflowing the int64 conversion
+    ticks = seconds_to_ticks(np.clip(times, 0.0, duration))
     # same-tick events merge into one: np.unique by sort + adjacent mask,
     # which avoids np.unique's much slower hash path for integers
     ticks = np.sort(ticks)
     first = np.ones(ticks.size, dtype=bool)
     first[1:] = ticks[1:] != ticks[:-1]
     ticks = ticks[first]
+    # the stream takes this fresh array over instead of copying it
+    ticks.flags.writeable = False
     return EventStream(channel, ticks, dur_ticks)
 
 

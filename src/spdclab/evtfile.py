@@ -10,12 +10,14 @@ Layout (all little-endian):
         u64  duration in femtosecond ticks
         u64 * count  timestamps, ascending femtosecond ticks
 
-One femtosecond tick resolves sub-picosecond coherence times; 64 bits span
-more than 1e5 seconds of acquisition.  Writes go through a temp file and
-an atomic rename.
+One femtosecond tick resolves sub-picosecond coherence times; timestamps
+below 2**63 ticks cover about 9.2e3 seconds of acquisition.  A file holds
+each of the three channels exactly once.  Writes go through a temp file
+and an atomic rename.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import struct
@@ -39,60 +41,88 @@ class EvtFormatError(SpdcLabError):
 
 
 def write_events(streams: Sequence[EventStream], path) -> None:
-    """Write streams to ``path`` atomically; round-trips bit-exactly."""
+    """Write streams to ``path`` atomically; round-trips bit-exactly.
+
+    If the write raises, the temporary file is removed and an existing
+    ``path`` is left untouched.
+    """
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(streams)))
-        for stream in streams:
-            fh.write(
-                struct.pack(
-                    "<BQQ",
-                    CHANNELS.index(stream.channel),
-                    len(stream),
-                    stream.duration,
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(streams)))
+            for stream in streams:
+                fh.write(
+                    struct.pack(
+                        "<BQQ",
+                        CHANNELS.index(stream.channel),
+                        len(stream),
+                        stream.duration,
+                    )
                 )
-            )
-            fh.write(stream.timestamps.astype("<u8").tobytes())
-    os.replace(tmp, path)
+                fh.write(stream.timestamps.astype("<u8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_events(path) -> list[EventStream]:
-    """Read streams back; validates magic, ids and declared counts."""
+    """Read streams back; validates magic, ids, declared counts and order.
+
+    Each channel's timestamps are read straight into one aligned, read-only
+    array, with no intermediate copy.  Any content that does not hold each
+    channel once, in strictly increasing order within ``[0, duration]``,
+    raises ``EvtFormatError``.
+    """
     path = os.fspath(path)
     started = time.perf_counter()
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise EvtFormatError(
-            f"{path}: bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}"
-        )
-    offset = len(MAGIC)
-    (n_channels,) = struct.unpack_from("<I", data, offset)
-    offset += 4
     streams: list[EventStream] = []
-    for _ in range(n_channels):
-        if offset + 17 > len(data):
-            raise EvtFormatError(f"{path}: truncated channel header")
-        channel_id, count, duration = struct.unpack_from("<BQQ", data, offset)
-        offset += 17
-        if channel_id >= len(CHANNELS):
-            raise EvtFormatError(f"{path}: unknown channel id {channel_id}")
-        end = offset + 8 * count
-        if end > len(data):
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 4)
+        if head[: len(MAGIC)] != MAGIC:
             raise EvtFormatError(
-                f"{path}: declares {count} events but file ends early"
+                f"{path}: bad magic {head[:len(MAGIC)]!r}, expected {MAGIC!r}"
             )
-        ticks = np.frombuffer(data[offset:end], dtype="<u8").astype(np.int64)
-        offset = end
-        streams.append(EventStream(CHANNELS[channel_id], ticks, duration))
-    if offset != len(data):
-        raise EvtFormatError(f"{path}: {len(data) - offset} trailing bytes")
+        if len(head) < len(MAGIC) + 4:
+            raise EvtFormatError(f"{path}: truncated channel count")
+        (n_channels,) = struct.unpack_from("<I", head, len(MAGIC))
+        for _ in range(n_channels):
+            header = fh.read(17)
+            if len(header) < 17:
+                raise EvtFormatError(f"{path}: truncated channel header")
+            channel_id, count, duration = struct.unpack("<BQQ", header)
+            if channel_id >= len(CHANNELS):
+                raise EvtFormatError(f"{path}: unknown channel id {channel_id}")
+            if fh.tell() + 8 * count > size:
+                raise EvtFormatError(
+                    f"{path}: declares {count} events but file ends early"
+                )
+            channel = CHANNELS[channel_id]
+            # u64 ticks read as int64: a tick of 2**63 or more reads negative
+            # and fails the range check below
+            ticks = np.empty(count, dtype="<i8")
+            if fh.readinto(ticks) != ticks.nbytes:
+                raise EvtFormatError(f"{path}: channel {channel} ends early")
+            ticks.flags.writeable = False
+            try:
+                streams.append(EventStream(channel, ticks, duration))
+            except ValueError as exc:
+                raise EvtFormatError(f"{path}: channel {channel}: {exc}") from None
+        if fh.tell() != size:
+            raise EvtFormatError(f"{path}: {size - fh.tell()} trailing bytes")
+    channels = [s.channel for s in streams]
+    if sorted(channels) != sorted(CHANNELS):
+        raise EvtFormatError(
+            f"{path}: holds channels {channels}, expected each of {list(CHANNELS)} once"
+        )
     elapsed = time.perf_counter() - started
     if elapsed > 0:
         logger.debug(
             "read %s: %.1f MB in %.3f s (%.0f MB/s)",
-            path, len(data) / 1e6, elapsed, len(data) / 1e6 / elapsed,
+            path, size / 1e6, elapsed, size / 1e6 / elapsed,
         )
     return streams

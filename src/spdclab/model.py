@@ -27,16 +27,11 @@ broadcast in the usual way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .params import SourceParams
 
 __all__ = [
-    "CorrelationPair",
-    "correlation_pair",
     "auto_correlation",
     "cross_correlation",
     "g2_si",
@@ -81,24 +76,6 @@ def cross_correlation(params: SourceParams, tau):
     else:
         out = np.sqrt(c0_sq * np.clip(1.0 - np.abs(tau) / dt, 0.0, None))
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class CorrelationPair:
-    """The (R(tau), C(tau)) pair for one source parameter set."""
-
-    params: SourceParams
-    auto: Callable = None  # type: ignore[assignment]
-    cross: Callable = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "auto", lambda tau: auto_correlation(self.params, tau))
-        object.__setattr__(self, "cross", lambda tau: cross_correlation(self.params, tau))
-
-
-def correlation_pair(params: SourceParams) -> CorrelationPair:
-    """Build the correlation function pair for ``params``."""
-    return CorrelationPair(params=params)
 
 
 def g2_si(params: SourceParams, tau):
@@ -233,8 +210,8 @@ def auto_sq_cumulative(params: SourceParams, tau):
     else:
         # R(u)^2 = r^2 (1 - |u|/dt)^2 on [-dt, dt]; odd-symmetric primitive
         u = np.clip(tau, -dt, dt)
-        one_sided = (dt / 3) * (1.0 - (1.0 - np.abs(u) / dt) ** 3)
-        out = r**2 * (dt / 3 + np.sign(u) * one_sided)
+        from_zero = (dt / 3) * (1.0 - (1.0 - np.abs(u) / dt) ** 3)
+        out = r**2 * (dt / 3 + np.sign(u) * from_zero)
     return out if out.ndim else float(out)
 
 

@@ -2,14 +2,16 @@
 
 All times are seconds, all rates are events per second unless a name says
 otherwise.  Event timestamps use integer femtosecond ticks (see
-:data:`TICKS_PER_SECOND`), which resolve sub-picosecond coherence times
-while covering runs of > 1e5 s in 64 bits.
+:data:`TICKS_PER_SECOND`), which resolve sub-picosecond coherence times;
+a signed 64-bit tick covers runs shorter than 2**63 fs, about 9.2e3 s.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 TICKS_PER_SECOND = 10**15
 
@@ -123,12 +125,24 @@ class AnalysisWindow:
 
     def delays(self):
         """Symmetric uniform delay grid covering [-span, span]."""
-        import numpy as np
-
         n = int(round(self.span / self.bin_width))
         return np.arange(-n, n + 1) * self.bin_width
 
 
-def seconds_to_ticks(t: float) -> int:
-    """Round a time in seconds to integer femtosecond ticks."""
+def seconds_to_ticks(t):
+    """Round seconds to integer femtosecond ticks: an ``int`` for a scalar,
+    an int64 array for an array (halves round to even in both)."""
+    if np.ndim(t):
+        return np.rint(np.asarray(t, dtype=float) * TICKS_PER_SECOND).astype(np.int64)
     return int(round(t * TICKS_PER_SECOND))
+
+
+def duration_to_ticks(duration: float) -> int:
+    """Ticks of a run duration; ``ConfigError`` unless they fit an int64."""
+    # a float below 2**63 rounds to at most 2**63 - 1024, so it fits
+    if not 0 <= duration * TICKS_PER_SECOND < 2.0**63:
+        raise ConfigError(
+            f"run duration must lie in [0, {2**63 / TICKS_PER_SECOND:.6g}) s "
+            f"so its femtosecond ticks fit an int64, got {duration!r}"
+        )
+    return seconds_to_ticks(duration)

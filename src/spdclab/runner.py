@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
-from .curves import CorrelationCurve, CorrelationSurface, EstimatorCurve
+from .curves import CorrelationSurface
 from .params import GridError
 from .scenario import Scenario
 
@@ -130,9 +130,10 @@ def read_curve_csv(path):
     return np.array(delays), np.array(values), np.array(stderr)
 
 
-def _curve_product(path, curve: CorrelationCurve, scenario: Scenario) -> None:
-    write_curve_csv(path, curve.delays, curve.values, unit=curve.unit,
-                    scenario=scenario)
+def _product(out: dict[str, str], outdir, name: str) -> str:
+    """Path of product ``name`` in ``outdir``, recorded in ``out``."""
+    path = out[name] = os.path.join(outdir, name + ".csv")
+    return path
 
 
 def run_analytic(scenario: Scenario, outdir) -> dict[str, str]:
@@ -141,18 +142,16 @@ def run_analytic(scenario: Scenario, outdir) -> dict[str, str]:
     src = scenario.source
     delays = scenario.window.delays()
     out = {}
-
-    def emit(name, values, unit="dimensionless"):
-        path = os.path.join(outdir, name + ".csv")
-        write_curve_csv(path, delays, values, unit=unit, scenario=scenario)
-        out[name] = path
-
-    emit("auto_correlation", model.auto_correlation(src, delays), "per_s")
-    emit("cross_correlation", model.cross_correlation(src, delays), "per_s")
-    emit("g2_si", model.g2_si(src, delays))
-    emit("g2_ss", model.g2_ss_unconditional(src, delays))
-    emit("p_ssi_diag", model.p_ssi_diag(src, delays), "per_s3")
-    emit("g2_c_diag", model.g2_c(src, 0.0, delays, 0.0))
+    for name, values, unit in (
+        ("auto_correlation", model.auto_correlation(src, delays), "per_s"),
+        ("cross_correlation", model.cross_correlation(src, delays), "per_s"),
+        ("g2_si", model.g2_si(src, delays), "dimensionless"),
+        ("g2_ss", model.g2_ss_unconditional(src, delays), "dimensionless"),
+        ("p_ssi_diag", model.p_ssi_diag(src, delays), "per_s3"),
+        ("g2_c_diag", model.g2_c(src, 0.0, delays, 0.0), "dimensionless"),
+    ):
+        write_curve_csv(_product(out, outdir, name), delays, values, unit=unit,
+                        scenario=scenario)
     return out
 
 
@@ -172,24 +171,21 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     kernel = _scenario_kernel(scenario)
     out = {}
 
-    kpath = os.path.join(outdir, "kernel.csv")
-    write_curve_csv(kpath, kernel.delays(), kernel.samples, unit="per_s",
-                    scenario=scenario)
-    out["kernel"] = kpath
+    write_curve_csv(_product(out, outdir, "kernel"), kernel.delays(),
+                    kernel.samples, unit="per_s", scenario=scenario)
 
+    # sampled span from which the valid convolution still covers the grid
     half_span = window.span + kernel.support_halfwidth + window.bin_width
     curve = smearing.smear_curve(
         smearing.sample_g2_si(src, window.bin_width, half_span), kernel
     )
     keep = np.abs(curve.delays) <= window.span + window.bin_width / 2
-    path = os.path.join(outdir, "g2_si_smeared.csv")
-    write_curve_csv(path, curve.delays[keep], curve.values[keep],
-                    unit=curve.unit, scenario=scenario)
-    out["g2_si_smeared"] = path
+    write_curve_csv(_product(out, outdir, "g2_si_smeared"), curve.delays[keep],
+                    curve.values[keep], unit=curve.unit, scenario=scenario)
 
     gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
-    _curve_product(os.path.join(outdir, "gbar2_c_analytic.csv"), gbar, scenario)
-    out["gbar2_c_analytic"] = os.path.join(outdir, "gbar2_c_analytic.csv")
+    write_curve_csv(_product(out, outdir, "gbar2_c_analytic"), gbar.delays,
+                    gbar.values, unit=gbar.unit, scenario=scenario)
 
     pred = smearing.predict_plateaus(src, kernel)
     lines = _header(scenario)
@@ -199,18 +195,13 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     lines.append(f"nssi_short_per_s3,{pred.nssi_short!r}")
     lines.append(f"nssi_long_per_s3,{pred.nssi_long!r}")
     lines.append(f"gbar2c_short,{pred.gbar2c_short!r}")
-    ppath = os.path.join(outdir, "plateaus.csv")
-    _write_lines(ppath, lines)
-    out["plateaus"] = ppath
+    _write_lines(_product(out, outdir, "plateaus"), lines)
 
     if with_surface:
-        half = window.span + kernel.support_halfwidth + window.bin_width
         surface = smearing.smear_surface(
-            smearing.sample_p_ssi(src, window.bin_width, half), kernel
+            smearing.sample_p_ssi(src, window.bin_width, half_span), kernel
         )
-        spath = os.path.join(outdir, "p_ssi_smeared.csv")
-        write_surface_csv(spath, surface, scenario)
-        out["p_ssi_smeared"] = spath
+        write_surface_csv(_product(out, outdir, "p_ssi_smeared"), surface, scenario)
     return out
 
 
@@ -245,9 +236,7 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     names = ("idler", "signal1", "signal2")
     rows = _rows([rates[n].value for n in names], [rates[n].stderr for n in names])
     lines += [f"{name},{row}" for name, row in zip(names, rows)]
-    spath = os.path.join(outdir, "singles.csv")
-    _write_lines(spath, lines)
-    out["singles"] = spath
+    _write_lines(_product(out, outdir, "singles"), lines)
 
     pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
     pairs_s2 = correlate.pair_histogram(s2, idler, delays, tauc)
@@ -255,28 +244,22 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
 
     for name, hist in (("pairs_s1_idler", pairs_s1), ("pairs_s2_idler", pairs_s2),
                        ("triples", triples)):
-        path = os.path.join(outdir, name + ".csv")
         lines = _header(scenario)
         lines.append("delay_s,counts")
         lines += _rows(hist.delays, hist.counts)
-        _write_lines(path, lines)
-        out[name] = path
+        _write_lines(_product(out, outdir, name), lines)
 
     g2bar = correlate.estimate_g2bar_si(pairs_s1, rates["signal1"], rates["idler"])
-    path = os.path.join(outdir, "g2bar_si.csv")
-    write_curve_csv(path, g2bar.delays, g2bar.values, g2bar.stderr,
-                    scenario=scenario)
-    out["g2bar_si"] = path
+    write_curve_csv(_product(out, outdir, "g2bar_si"), g2bar.delays, g2bar.values,
+                    g2bar.stderr, scenario=scenario)
 
     zero = np.flatnonzero(delays == 0.0)
     if zero.size != 1:
         raise GridError("delay grid must hold exactly one zero delay")
     pairs0 = float(pairs_s1.rates[zero[0]])
     gbar2c = correlate.estimate_gbar2_c(triples, pairs0, pairs_s2, rates["idler"])
-    path = os.path.join(outdir, "gbar2_c.csv")
-    write_curve_csv(path, gbar2c.delays, gbar2c.values, gbar2c.stderr,
-                    scenario=scenario)
-    out["gbar2_c"] = path
+    write_curve_csv(_product(out, outdir, "gbar2_c"), gbar2c.delays, gbar2c.values,
+                    gbar2c.stderr, scenario=scenario)
     return out
 
 

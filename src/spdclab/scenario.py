@@ -26,6 +26,7 @@ from .params import (
     ConfigError,
     DetectorChain,
     SourceParams,
+    duration_to_ticks,
 )
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario"]
@@ -69,6 +70,7 @@ class Scenario:
             raise ConfigError(f"run.model must be one of {MODELS}")
         if self.duration <= 0:
             raise ConfigError("run.duration_s must be > 0")
+        duration_to_ticks(self.duration)
         needed = 2 * (self.window.coincidence_halfwidth + self.chain.jitter_width)
         if self.window.span < needed:
             raise ConfigError(

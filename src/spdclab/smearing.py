@@ -102,9 +102,6 @@ class ResponseKernel:
         out = np.where(tau >= 0, upper, 1.0 - upper)
         return out if out.ndim else float(out)
 
-    def resampled(self, grid_step: float) -> "ResponseKernel":
-        return build_kernel(self.coincidence_halfwidth, self.jitter, grid_step)
-
 
 def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel:
     """Sample the response trapezoid on a symmetric grid of ``grid_step``.
@@ -144,25 +141,22 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
     return kernel
 
 
-def _match_kernel(step: float, kernel: ResponseKernel) -> ResponseKernel:
-    if abs(step - kernel.grid_step) <= _STEP_TOL * kernel.grid_step:
-        return kernel
-    if step < kernel.grid_step:
-        return kernel.resampled(step)
-    raise GridError(
-        f"curve step {step:g} is coarser than the kernel grid "
-        f"{kernel.grid_step:g}"
-    )
+def _check_step(step: float, kernel: ResponseKernel) -> None:
+    if abs(step - kernel.grid_step) > _STEP_TOL * kernel.grid_step:
+        raise GridError(
+            f"grid step {step:g} differs from the kernel grid {kernel.grid_step:g}"
+        )
 
 
 def smear_curve(curve: CorrelationCurve, kernel: ResponseKernel) -> CorrelationCurve:
     """Discrete convolution of a sampled curve with the response kernel.
 
+    The curve must share the kernel's grid step (``GridError`` otherwise).
     Returns the valid central region only: the output grid is the input grid
     trimmed by the kernel half-support on each side, so the input span must
     exceed twice the kernel support.
     """
-    kernel = _match_kernel(curve.step, kernel)
+    _check_step(curve.step, kernel)
     k = kernel.samples
     if curve.values.size <= k.size:
         raise GridError("curve span must exceed the kernel support")
@@ -179,7 +173,7 @@ def smear_surface(
     Models the square two-dimensional averaging window (area (2 tau_c)^2
     with transition regions 2 tau_d) acting on the triple-coincidence rate.
     """
-    kernel = _match_kernel(surface.step, kernel)
+    _check_step(surface.step, kernel)
     k = kernel.samples
     m = kernel.half_len
     n1, n2 = surface.values.shape

@@ -5,12 +5,14 @@ per-idler masked sums, no sorting tricks shared with the production path.
 """
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 TICKS = 10**15
 
 
-def brute_pair_counts(ta, tb, delays_s, tauc_s, one_sided=False):
+def brute_pair_counts(ta, tb, delays_s, tauc_s):
     """O(n^2) windowed pair counts via explicit difference matrices."""
     grid = np.rint(np.asarray(delays_s) * TICKS).astype(np.int64)
     tc = int(round(tauc_s * TICKS))
@@ -19,10 +21,7 @@ def brute_pair_counts(ta, tb, delays_s, tauc_s, one_sided=False):
     for start in range(0, len(ta), chunk):
         d = ta[start : start + chunk, None] - tb[None, :]
         for k, tau in enumerate(grid):
-            if one_sided:
-                out[k] += int(np.sum((d - tau >= 0) & (d - tau < 2 * tc)))
-            else:
-                out[k] += int(np.sum(np.abs(d - tau) <= tc))
+            out[k] += int(np.sum(np.abs(d - tau) <= tc))
     return out
 
 
@@ -59,3 +58,13 @@ def surface_csv_body(t1, t2, values):
         for j, b in enumerate(t2):
             lines.append(f"{float(a)!r},{float(b)!r},{float(values[i, j])!r}")
     return "\n".join(lines) + "\n"
+
+
+def raw_evt(*channels, magic=b"SPDCEVT1"):
+    """``.evt`` bytes for (channel id, duration, ticks) triples, written
+    field by field from the format description with no validation."""
+    out = [magic, struct.pack("<I", len(channels))]
+    for channel_id, duration, ticks in channels:
+        out.append(struct.pack("<BQQ", channel_id, len(ticks), duration))
+        out.append(np.asarray(ticks, dtype="<u8").tobytes())
+    return b"".join(out)

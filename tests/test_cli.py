@@ -13,7 +13,7 @@ from spdclab.runner import (
     write_surface_csv,
 )
 
-from _oracles import surface_csv_body
+from _oracles import raw_evt, surface_csv_body
 
 DESK_CONFIG = """
 # desk-scale reference scenario
@@ -148,6 +148,31 @@ class TestCliCommands:
             warnings.simplefilter("ignore")
             code = main(["simulate", str(bright), "-o", str(tmp_path / "y")])
         assert code == 3
+
+    @pytest.mark.parametrize("channels", [
+        [(0, 10**12, [9, 5]), (1, 10**12, [1]), (2, 10**12, [2])],
+        [(0, 10**12, [5]), (1, 10**12, [1])],
+        [(0, 10**12, [5]), (1, 10**12, [1]), (1, 10**12, [2]), (2, 10**12, [3])],
+    ], ids=["unsorted", "missing", "repeated"])
+    def test_malformed_evt_exit_code(self, config_path, tmp_path, capsys,
+                                     channels):
+        evt = tmp_path / "bad.evt"
+        evt.write_bytes(raw_evt(*channels))
+        code = main(["count", config_path, str(evt), "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {evt}: ")
+        assert not list((tmp_path / "c").glob("*.csv"))
+
+    @pytest.mark.parametrize("duration", ["1e4", "1e5"])
+    def test_duration_beyond_int64_ticks(self, tmp_path, capsys, duration):
+        config = tmp_path / "long.ini"
+        # a low rate keeps the run small should the duration get through
+        config.write_text(DESK_CONFIG.replace("= 2e-3", f"= {duration}")
+                          .replace("= 2e7", "= 1e2"))
+        out = tmp_path / "long"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        assert "int64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reproducible_bodies(self, config_path, tmp_path):
         def body(path):

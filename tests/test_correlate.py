@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
+    CorrelationSurface,
     DetectorChain,
+    EstimatorCurve,
     EventStream,
+    GridError,
     SourceParams,
     apply_detector_chain,
     estimate_g2bar_si,
@@ -63,12 +66,6 @@ class TestPairHistogram:
         h = pair_histogram(a, b, np.array([0.0]), 1e-9)
         assert h.counts[0] == 1
 
-    def test_one_sided_window(self):
-        a = stream("signal1", [6e-9])
-        b = stream("idler", [5e-9])
-        h = pair_histogram(a, b, np.array([0.0, 2e-9]), 1e-9, one_sided=True)
-        assert list(h.counts) == [1, 0]
-
     def test_accidental_level(self):
         # independent 1e6/s streams: each bin near r1 r2 2 tau_c T
         duration = 1.0
@@ -89,16 +86,6 @@ class TestPairHistogram:
             h = pair_histogram(a, b, delays, tauc)
             ref = brute_pair_counts(a.timestamps, b.timestamps, delays, tauc)
             assert np.array_equal(h.counts, ref)
-
-    def test_one_sided_matches_brute_force(self):
-        a = poisson_stream("signal1", 2e6, 5e-4, 300)
-        b = poisson_stream("idler", 2e6, 5e-4, 301)
-        delays = np.arange(-4, 5) * 40e-9
-        h = pair_histogram(a, b, delays, 20e-9, one_sided=True)
-        ref = brute_pair_counts(
-            a.timestamps, b.timestamps, delays, 20e-9, one_sided=True
-        )
-        assert np.array_equal(h.counts, ref)
 
     def test_sharded_counts_identical(self):
         a = poisson_stream("signal1", 5e6, 1e-3, 31)
@@ -125,8 +112,15 @@ class TestPairHistogram:
         with pytest.raises(ValueError, match="read-only"):
             a.timestamps[:2] = a.timestamps[:2][::-1]
         ticks = a.timestamps.copy()
-        EventStream("signal1", ticks, a.duration)
-        ticks[0] = ticks[1]  # the caller's array is not frozen
+        b = EventStream("signal1", ticks, a.duration)
+        ticks[0] = ticks[1]  # the caller's array is not frozen ...
+        assert np.array_equal(b.timestamps, a.timestamps)  # ... nor aliased
+        ticks[:] = a.timestamps
+        frozen = ticks.view()
+        frozen.flags.writeable = False
+        c = EventStream("signal1", frozen, a.duration)
+        ticks[0] = ticks[1]  # ... nor through a read-only view of it
+        assert np.array_equal(c.timestamps, a.timestamps)
 
     def test_rejects_mismatched_duration(self):
         a = poisson_stream("signal1", 1e6, 1e-4, 35)
@@ -229,20 +223,18 @@ def _seconds(grid, tc):
 
 class TestCountingProperties:
     @_PROPERTY
-    @given(case=_counting_case(2), chunk=_CHUNKS, one_sided=st.booleans())
-    @example(case=([set(), set()], [0], 1, 10), chunk=1, one_sided=False)
-    @example(case=([{0, 10}, set()], [0], 1, 10), chunk=2, one_sided=True)
+    @given(case=_counting_case(2), chunk=_CHUNKS)
+    @example(case=([set(), set()], [0], 1, 10), chunk=1)
+    @example(case=([{0, 10}, set()], [0], 1, 10), chunk=2)
     @example(case=([{0, 4, 10}, {0, 3, 10}], [-10, 0, 1, 10], 1, 10),
-             chunk="above", one_sided=False)
-    def test_pair_matches_oracle(self, case, chunk, one_sided):
+             chunk="above")
+    def test_pair_matches_oracle(self, case, chunk):
         (tb, ta), grid, tc, duration = case
         a = _tick_stream("signal1", ta, duration)
         b = _tick_stream("idler", tb, duration)
         delays, tauc = _seconds(grid, tc)
-        h = pair_histogram(a, b, delays, tauc, one_sided=one_sided,
-                           **_chunk_kwargs(chunk, len(a)))
-        ref = brute_pair_counts(a.timestamps, b.timestamps, delays, tauc,
-                                one_sided=one_sided)
+        h = pair_histogram(a, b, delays, tauc, **_chunk_kwargs(chunk, len(a)))
+        ref = brute_pair_counts(a.timestamps, b.timestamps, delays, tauc)
         assert np.array_equal(h.counts, ref)
 
     @_PROPERTY
@@ -265,6 +257,21 @@ class TestCountingProperties:
 
 
 class TestEstimators:
+    def test_lookup_off_grid_raises(self):
+        delays = np.arange(-20, 21) * 1e-9
+        est = EstimatorCurve(delays, np.arange(41.0), np.ones(41))
+        assert est.value_at(20e-9) == 40.0
+        assert est.stderr_at(-20e-9) == 1.0
+        for delay in (1.0, 0.5e-9, 21e-9):
+            with pytest.raises(GridError):
+                est.value_at(delay)
+            with pytest.raises(GridError):
+                est.stderr_at(delay)
+        surface = CorrelationSurface(delays, delays, np.zeros((41, 41)))
+        assert surface.value_at(20e-9, -20e-9) == 0.0
+        with pytest.raises(GridError):
+            surface.value_at(0.0, 0.5e-9)
+
     def test_accidentals_normalize_to_one(self):
         duration = 1.0
         a = poisson_stream("signal1", 1e6, duration, 90)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from spdclab import (
     write_events,
 )
 from spdclab.evtfile import MAGIC, EvtFormatError
+
+from _oracles import raw_evt
 
 
 def make_streams(seed=1, duration=1e-4):
@@ -29,6 +33,10 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded.channel == orig.channel
         assert loaded.duration == orig.duration
         assert np.array_equal(loaded.timestamps, orig.timestamps)
+        assert not loaded.timestamps.flags.writeable
+    assert path.read_bytes() == raw_evt(
+        *((i, s.duration, s.timestamps) for i, s in enumerate(streams))
+    )
 
 
 def test_empty_channel_preserved(tmp_path):
@@ -78,3 +86,42 @@ def test_trailing_bytes_detected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x01\x02")
     with pytest.raises(EvtFormatError, match="trailing"):
         read_events(path)
+
+
+_GOOD = [(0, 100, [1, 50]), (1, 100, [2]), (2, 100, [3, 4])]
+
+
+@pytest.mark.parametrize("channels, match", [
+    ([(0, 100, [50, 1]), *_GOOD[1:]], "strictly increasing"),
+    ([(0, 100, [1, 1]), *_GOOD[1:]], "strictly increasing"),
+    ([(0, 100, [1, 101]), *_GOOD[1:]], "within"),
+    ([(0, 2**64 - 1, [2**63]), *_GOOD[1:]], "within"),
+    (_GOOD[:2], "expected each"),
+    ([*_GOOD, (1, 100, [7])], "expected each"),
+    ([_GOOD[0], _GOOD[1], _GOOD[1]], "expected each"),
+])
+def test_malformed_content_rejected(tmp_path, channels, match):
+    path = tmp_path / "bad.evt"
+    path.write_bytes(raw_evt(*channels))
+    with pytest.raises(EvtFormatError, match=match):
+        read_events(path)
+
+
+def test_missing_channel_count_rejected(tmp_path):
+    path = tmp_path / "short.evt"
+    path.write_bytes(MAGIC + b"\x03")
+    with pytest.raises(EvtFormatError, match="truncated"):
+        read_events(path)
+
+
+def test_failed_write_leaves_no_tmp(tmp_path):
+    path = tmp_path / "run.evt"
+    streams = make_streams()
+    write_events(streams, path)
+    before = path.read_bytes()
+    # a duration beyond u64 fails to pack after the first channel is written
+    huge = EventStream("signal2", np.empty(0, np.int64), 2**64)
+    with pytest.raises(struct.error):
+        write_events([streams[0], huge], path)
+    assert not (tmp_path / "run.evt.tmp").exists()
+    assert path.read_bytes() == before

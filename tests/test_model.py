@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdclab import SourceParams, correlation_pair, limit_ratios
+from spdclab import SourceParams, limit_ratios
 from spdclab.model import (
     auto_correlation,
     auto_sq_cumulative,
@@ -24,29 +24,25 @@ class TestCorrelationPair:
     def test_auto_zero_is_pair_rate(self):
         # R = 43 MHz, mu = 1.4e-5
         p = params_mu(1.4e-5, rate=4.3e7)
-        pair = correlation_pair(p)
-        assert pair.auto(0.0) == pytest.approx(4.3e7, rel=1e-15)
+        assert auto_correlation(p, 0.0) == pytest.approx(4.3e7, rel=1e-15)
 
     def test_cross_outside_support(self):
         p = params_mu(1.4e-5, rate=4.3e7)
-        pair = correlation_pair(p)
-        assert pair.cross(p.coherence_time) == 0.0
+        assert cross_correlation(p, p.coherence_time) == 0.0
 
     def test_cross_zero_forced_by_peak_normalization(self):
         # C(0)^2 / R^2 = 1/(R dt)  =>  C(0) = sqrt(R / dt)
         p = SourceParams(2e7, 1e-9)
         expected = np.sqrt(2e7 / 1e-9)
-        pair = correlation_pair(p)
-        assert pair.cross(0.0) == pytest.approx(expected, rel=1e-15)
-        assert pair.cross(0.0) == pytest.approx(1.4142135623730952e8, rel=1e-12)
+        assert cross_correlation(p, 0.0) == pytest.approx(expected, rel=1e-15)
+        assert cross_correlation(p, 0.0) == pytest.approx(1.4142135623730952e8, rel=1e-12)
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_even_functions(self, shape):
         p = SourceParams(1e7, 2e-9, shape)
-        pair = correlation_pair(p)
         taus = np.linspace(-3e-9, 3e-9, 101)
-        assert np.allclose(pair.auto(taus), pair.auto(-taus))
-        assert np.allclose(pair.cross(taus), pair.cross(-taus))
+        assert np.allclose(auto_correlation(p, taus), auto_correlation(p, -taus))
+        assert np.allclose(cross_correlation(p, taus), cross_correlation(p, -taus))
 
     def test_box_support(self):
         p = SourceParams(1e7, 2e-9, "box")

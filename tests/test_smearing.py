@@ -116,12 +116,13 @@ class TestSmearCurve:
         assert np.array_equal(out.delays, d_ref)
         assert np.allclose(out.values, v_ref, rtol=1e-12, atol=0)
 
-    def test_kernel_resampled_to_finer_curve(self):
+    def test_rejects_finer_curve(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)
-        curve = sample_g2_si(p, 2.5e-11, 2e-8)
-        out = smear_curve(curve, k)
-        assert out.value_at(0.0) == pytest.approx(6.0, rel=1e-10)
+        with pytest.raises(GridError, match="kernel grid"):
+            smear_curve(sample_g2_si(p, 2.5e-11, 2e-8), k)
+        with pytest.raises(GridError, match="kernel grid"):
+            smear_surface(sample_p_ssi(p, 2.5e-11, 3e-9), build_kernel(1e-9, 0.0, 5e-11))
 
     def test_rejects_coarser_curve(self):
         p = SourceParams(2e7, 1e-9)
