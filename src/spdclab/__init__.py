@@ -23,6 +23,7 @@ from .correlate import (
     estimate_g2bar_si,
     estimate_gbar2_c,
     pair_histogram,
+    signal2_histograms,
     singles_rate,
     triple_histogram,
 )

@@ -11,14 +11,21 @@ Counting conventions:
 * a triple (t_i, t_s1, t_s2) counts at delay tau when
   |t_s1 - t_i| <= tau_c and |t_s2 - t_i - tau| <= tau_c.
 
-Both counters run one edge-binned kernel (the arbitrary-bin method of
+Every counter runs one edge-binned kernel (the arbitrary-bin method of
 Laurence et al., Opt. Lett. 31, 829 (2006)): per chunk of reference events
-a vectorized merge pass finds every difference that can land in a window,
-bins it between the sorted window edges (at most 2 x n_delays) and adds the
-bin totals up; a window count is a difference of cumulative bin totals.
-Memory is set by the chunk, not by the run.  Counting a stream in
-consecutive chunks gives bit-identical results, which is the sharding
-contract for parallel or out-of-core operation.
+a vectorized merge pass finds every difference that can land in a window
+and bins it between the sorted window edges (at most 2 x n_delays); a
+window count is a difference of cumulative bin totals.  A difference finds
+its bin by table lookup, not binary search: the edge range is cut into
+power-of-two cells, about 16-32 per edge, a table gives the last edge at or
+below each cell start, and a few compare-and-step rounds pass the edges
+inside the cell.  The kernel takes one weight row per output histogram and
+bins each difference once for all of them, so ``signal2_histograms`` counts
+the signal2-idler pairs (unit weight) and the triples (signal1 gate
+occupancy of the idler) in one pass.  Memory is set by the chunk, not by
+the run.  Counting a stream in consecutive chunks gives bit-identical
+results, which is the sharding contract for parallel or out-of-core
+operation.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ __all__ = [
     "singles_rate",
     "pair_histogram",
     "triple_histogram",
+    "signal2_histograms",
     "estimate_g2bar_si",
     "estimate_gbar2_c",
 ]
@@ -78,43 +86,79 @@ def _window_bounds(delays: np.ndarray, tauc: float) -> tuple[np.ndarray, np.ndar
     return grid - tc, grid + tc + 1
 
 
+def _edge_binner(edges: np.ndarray):
+    """Return ``bins(d)``, the last index b with ``edges[b] <= d`` for every d
+    in ``[edges[0], edges[-1]]``: ``np.searchsorted(edges, d, "right") - 1``
+    by table lookup.
+
+    The range is cut into cells of 2**shift ticks, about 16-32 per edge;
+    ``table[c]`` is the last edge at or below the start of cell c.  A
+    difference looks its cell up and then steps past the edges inside the
+    cell that lie at or below it, at most ``extra`` of them.  Repeated edges
+    need no care: each step compares with the following edge.
+    """
+    lo, hi = int(edges[0]), int(edges[-1])
+    # floor(log2((hi - lo) / (16 m))) in exact integer arithmetic
+    shift = max(0, ((hi - lo) // (16 * edges.size)).bit_length() - 1)
+    starts = lo + (np.arange(((hi - lo) >> shift) + 1, dtype=np.int64) << shift)
+    table = np.searchsorted(edges, starts, side="right") - 1
+    last = np.searchsorted(edges, starts + ((1 << shift) - 1), side="right") - 1
+    extra = int(np.max(last - table))
+    following = np.append(edges[1:], np.iinfo(np.int64).max)
+
+    def bins(d: np.ndarray) -> np.ndarray:
+        b = table[(d - lo) >> shift]
+        for _ in range(extra):
+            b += d >= following[b]
+        return b
+
+    return bins
+
+
 def _edge_binned_counts(
     ta: np.ndarray,
     tb: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
     chunk_size: int,
-    weights: np.ndarray | None = None,
+    weights: tuple = (None,),
 ) -> np.ndarray:
-    """Per window k, the (weighted) count of ta_i - tb_j in [lows[k], highs[k]).
+    """Per weight row r and window k, the weighted count of ta_i - tb_j in
+    [lows[k], highs[k]).
 
-    Each reference event of ``ta`` is owned by exactly one chunk and the bin
-    totals are exact integers, so chunked and unchunked counts agree exactly.
+    Each row of ``weights`` is ``None`` (unit weight) or one integer weight
+    per event of ``ta``; the differences and their bins are formed once and
+    shared by every row.  Each reference event of ``ta`` is owned by exactly
+    one chunk and the bin totals are exact integers, so chunked and
+    unchunked counts agree exactly.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    # a repeated edge only adds an empty bin, so no dedup is needed
     edges = np.sort(np.concatenate((lows, highs)))
     lo, hi = int(edges[0]), int(edges[-1])
+    bin_of = _edge_binner(edges)
     # bin b holds the differences d with edges[b] <= d < edges[b + 1]
-    totals = np.zeros(edges.size - 1, dtype=np.int64)
+    totals = np.zeros((len(weights), edges.size - 1), dtype=np.int64)
     for start in range(0, ta.size, chunk_size):
         chunk = ta[start : start + chunk_size]
         j0 = np.searchsorted(tb, chunk - hi + 1, side="left")
         j1 = np.searchsorted(tb, chunk - lo, side="right")
         counts = j1 - j0
-        diffs = np.repeat(chunk, counts) - tb[_ragged_ranges(j0, j1)]
-        bins = np.searchsorted(edges, diffs, side="right") - 1
-        if weights is None:
-            totals += np.bincount(bins, minlength=totals.size)
-        else:
-            w = np.repeat(weights[start : start + chunk_size], counts)
-            # integer weights sum exactly in float64 below 2**53 per chunk
-            totals += np.bincount(bins, w, minlength=totals.size).astype(np.int64)
-    cumulative = np.concatenate(([0], np.cumsum(totals)))
+        # the differences are dropped as soon as they are binned, which
+        # keeps them out of the weighted rows' peak memory
+        bins = bin_of(np.repeat(chunk, counts) - tb[_ragged_ranges(j0, j1)])
+        for row, weight in zip(totals, weights):
+            if weight is None:
+                row += np.bincount(bins, minlength=row.size)
+            else:
+                w = np.repeat(weight[start : start + chunk_size], counts)
+                # integer weights sum exactly in float64 below 2**53 per chunk
+                row += np.bincount(bins, w, minlength=row.size).astype(np.int64)
+    cumulative = np.concatenate((np.zeros((len(weights), 1), np.int64),
+                                 np.cumsum(totals, axis=1)), axis=1)
     return (
-        cumulative[np.searchsorted(edges, highs)]
-        - cumulative[np.searchsorted(edges, lows)]
+        cumulative[:, np.searchsorted(edges, highs)]
+        - cumulative[:, np.searchsorted(edges, lows)]
     )
 
 
@@ -142,8 +186,19 @@ def pair_histogram(
     duration = _common_duration(a, b)
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
-    counts = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs, chunk_size)
+    (counts,) = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs,
+                                    chunk_size)
     return Histogram(delays, counts, duration, tauc)
+
+
+def _gate_occupancy(i: EventStream, s1: EventStream, tauc: float) -> np.ndarray:
+    """Signal1 partners of every idler within its gate |t_s1 - t_i| <= tau_c."""
+    tc = seconds_to_ticks(tauc)
+    ti, ts1 = i.timestamps, s1.timestamps
+    return (
+        np.searchsorted(ts1, ti + tc, side="right")
+        - np.searchsorted(ts1, ti - tc, side="left")
+    ).astype(np.int64)
 
 
 def triple_histogram(
@@ -166,20 +221,44 @@ def triple_histogram(
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(i, s1, s2)
-    tc = seconds_to_ticks(tauc)
-    ti = i.timestamps
-    n1 = (
-        np.searchsorted(s1.timestamps, ti + tc, side="right")
-        - np.searchsorted(s1.timestamps, ti - tc, side="left")
-    ).astype(np.int64)
+    n1 = _gate_occupancy(i, s1, tauc)
     gated = n1 > 0
-    ti, n1 = ti[gated], n1[gated]
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
-    counts = _edge_binned_counts(ti, s2.timestamps, 1 - highs, 1 - lows, chunk_size, n1)
+    (counts,) = _edge_binned_counts(i.timestamps[gated], s2.timestamps, 1 - highs,
+                                    1 - lows, chunk_size, (n1[gated],))
     return Histogram(delays, counts, duration, tauc)
+
+
+def signal2_histograms(
+    i: EventStream,
+    s1: EventStream,
+    s2: EventStream,
+    delays,
+    tauc: float,
+    *,
+    chunk_size: int = CHUNK_SIZE,
+) -> tuple[Histogram, Histogram]:
+    """Signal2-idler pairs and triples, ``(pair_histogram(s2, i, ...),
+    triple_histogram(i, s1, s2, ...))``, from one pass.
+
+    Both count the same idler-signal2 differences, the triples weighted by
+    the idler's signal1 gate occupancy (0 for an idler without a signal1
+    partner), so one merge pass over every idler bins each difference once
+    for both.  ``chunk_size`` idlers are counted at a time.
+    """
+    if tauc <= 0:
+        raise ValueError("tauc must be positive")
+    duration = _common_duration(i, s1, s2)
+    n1 = _gate_occupancy(i, s1, tauc)
+    delays = np.asarray(delays, dtype=float)
+    lows, highs = _window_bounds(delays, tauc)
+    pairs, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
+                                         1 - lows, chunk_size, (None, n1))
+    return (Histogram(delays, pairs, duration, tauc),
+            Histogram(delays, triples, duration, tauc))
 
 
 def estimate_g2bar_si(

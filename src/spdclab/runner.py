@@ -239,8 +239,7 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     _write_lines(_product(out, outdir, "singles"), lines)
 
     pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
-    pairs_s2 = correlate.pair_histogram(s2, idler, delays, tauc)
-    triples = correlate.triple_histogram(idler, s1, s2, delays, tauc)
+    pairs_s2, triples = correlate.signal2_histograms(idler, s1, s2, delays, tauc)
 
     for name, hist in (("pairs_s1_idler", pairs_s1), ("pairs_s2_idler", pairs_s2),
                        ("triples", triples)):

@@ -1,7 +1,8 @@
 """Flat key-value scenario files and their validation.
 
 A scenario file is INI-like without sections: one ``key = value`` per line,
-``#`` starts a comment.  Recognized keys:
+``#`` starts a comment.  Numbers must be finite: ``inf`` or ``nan`` is a
+configuration error.  Recognized keys:
 
     source.rate_hz            pair-generation rate R (1/s)
     source.coherence_time_s   coherence time (s)
@@ -19,6 +20,7 @@ A scenario file is INI-like without sections: one ``key = value`` per line,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .params import (
@@ -104,9 +106,12 @@ def _parse_flat(text: str) -> dict[str, str]:
 
 def _get_float(values: dict[str, str], key: str) -> float:
     try:
-        return float(values[key])
+        value = float(values[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: {values[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {values[key]!r}")
+    return value
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,35 @@ class TestCliCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {evt}: ")
         assert not list((tmp_path / "c").glob("*.csv"))
+
+    def test_truncated_evt_exit_code(self, config_path, tmp_path, capsys):
+        evt = tmp_path / "cut.evt"
+        data = raw_evt((0, 10**12, [5, 9]), (1, 10**12, [1]), (2, 10**12, [2]))
+        evt.write_bytes(data[:-3])
+        code = main(["count", config_path, str(evt), "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {evt}: ")
+        assert not list((tmp_path / "c").glob("*.csv"))
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("analytic", "window.span_s", "inf"),
+        ("count", "window.span_s", "inf"),
+        ("simulate", "source.rate_hz", "inf"),
+        ("simulate", "chain.jitter_s", "nan"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command, key,
+                                        value):
+        config = tmp_path / "inf.ini"
+        config.write_text(re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}",
+                                 DESK_CONFIG, flags=re.M))
+        evt = tmp_path / "ok.evt"
+        evt.write_bytes(raw_evt((0, 10**12, [5]), (1, 10**12, [1]), (2, 10**12, [2])))
+        out = tmp_path / "out"
+        args = [command, str(config), *([str(evt)] if command == "count" else []),
+                "-o", str(out)]
+        assert main(args) == 2
+        assert f"{key}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration", ["1e4", "1e5"])
     def test_duration_beyond_int64_ticks(self, tmp_path, capsys, duration):

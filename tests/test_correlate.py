@@ -15,9 +15,11 @@ from spdclab import (
     estimate_gbar2_c,
     gen_poisson_pairs,
     pair_histogram,
+    signal2_histograms,
     singles_rate,
     triple_histogram,
 )
+from spdclab.correlate import _edge_binner, _window_bounds
 
 from _oracles import brute_pair_counts, brute_triple_counts
 
@@ -254,6 +256,62 @@ class TestCountingProperties:
         ref = brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
                                   delays, tauc)
         assert np.array_equal(h.counts, ref)
+
+    @_PROPERTY
+    @given(case=_counting_case(3), chunk=_CHUNKS)
+    @example(case=([set(), set(), set()], [0], 1, 10), chunk=1)
+    @example(case=([{5}, set(), {5}], [0], 1, 10), chunk="default")
+    @example(case=([{0, 5, 10}, {0, 4, 10}, {0, 6, 9, 10}], [-5, 0, 5], 1, 10),
+             chunk=2)
+    def test_signal2_matches_oracles(self, case, chunk):
+        (ti, ts1, ts2), grid, tc, duration = case
+        i = _tick_stream("idler", ti, duration)
+        s1 = _tick_stream("signal1", ts1, duration)
+        s2 = _tick_stream("signal2", ts2, duration)
+        delays, tauc = _seconds(grid, tc)
+        pairs, triples = signal2_histograms(i, s1, s2, delays, tauc,
+                                            **_chunk_kwargs(chunk, len(i)))
+        assert np.array_equal(
+            pairs.counts,
+            brute_pair_counts(s2.timestamps, i.timestamps, delays, tauc))
+        assert np.array_equal(
+            triples.counts,
+            brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
+                                delays, tauc))
+
+
+# (delays, tauc) in seconds whose window edges stress the binning table
+_EDGE_SETS = {
+    # tau_c = bin/2: a high edge one tick past the next window's low edge
+    "half_bin_ticks": (np.arange(-10, 11) * 2e-15, 1e-15),
+    "half_bin": (np.arange(-10, 11) * 1e-9, 0.5e-9),
+    "mc_narrow": (np.arange(-25, 26) * 1e-9, 5e-9),
+    "mc_wide": (np.arange(-50, 51) * 1e-8, 5e-8),
+    "repeated": (np.array([0, 0, 3, 3, 3, -7]) * 1e-9, 2e-9),
+    "single": (np.array([0.0]), 5e-9),
+    # 5 ticks between the outer edges, below 16 per edge: one-tick cells
+    "shift_zero": (np.array([0, 1, 2]) * 1e-15, 1e-15),
+    "span_1e9": (np.linspace(-5e-7, 5e-7, 5), 1e-12),
+    # forty edges inside one cell of a 1e9-tick range
+    "clustered": (np.append(np.arange(20) * 1e-15, 1e-6), 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SETS))
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_table_binning_matches_searchsorted(name, mirrored):
+    lows, highs = _window_bounds(*_EDGE_SETS[name])
+    if mirrored:  # the idler-signal2 pass bins ti - ts2 in [1 - high, 1 - low)
+        lows, highs = 1 - highs, 1 - lows
+    edges = np.sort(np.concatenate((lows, highs)))
+    lo, hi = edges[0], edges[-1]
+    d = np.concatenate((edges - 1, edges, edges + 1,
+                        np.random.default_rng(7).integers(lo, hi + 1, 1000)))
+    d = d[(d >= lo) & (d <= hi)]
+    before = d.copy()
+    bins = _edge_binner(edges)(d)
+    assert np.array_equal(bins, np.searchsorted(edges, d, side="right") - 1)
+    assert np.array_equal(d, before)
 
 
 class TestEstimators:

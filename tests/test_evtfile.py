@@ -107,6 +107,17 @@ def test_malformed_content_rejected(tmp_path, channels, match):
         read_events(path)
 
 
+def test_every_truncation_rejected(tmp_path):
+    data = raw_evt((0, 100, [1, 50]), (1, 100, []), (2, 100, [3, 4, 99]))
+    path = tmp_path / "cut.evt"
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(EvtFormatError):
+            read_events(path)
+    path.write_bytes(data)
+    assert [len(s) for s in read_events(path)] == [2, 0, 3]
+
+
 def test_missing_channel_count_rejected(tmp_path):
     path = tmp_path / "short.evt"
     path.write_bytes(MAGIC + b"\x03")
