@@ -61,7 +61,8 @@ def write_events(streams: Sequence[EventStream], path) -> None:
                         stream.duration,
                     )
                 )
-                fh.write(stream.timestamps.astype("<u8").tobytes())
+                # non-negative int64 ticks have the bytes of their u64 values
+                fh.write(np.ascontiguousarray(stream.timestamps, dtype="<i8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -94,7 +94,9 @@ def write_surface_csv(
 
     Each axis label and each distinct value is formatted once: cells are
     grouped by their float64 bit pattern, which keeps ``-0.0`` apart from
-    ``0.0``, so every cell prints as ``repr`` of its own Python float.
+    ``0.0``, so every cell prints as ``repr`` of its own Python float.  A
+    row is one ``(len(t2), 3)`` object array of those strings (t1 label,
+    t2 label, value plus newline), filled by numpy and joined once.
     """
     suffix = _UNIT_SUFFIX.get(surface.unit, f"_{surface.unit}")
     lines = _header(scenario)
@@ -102,14 +104,16 @@ def write_surface_csv(
 
     def chunks():
         yield "\n".join(lines) + "\n"
-        cols = [f",{b!r}," for b in surface.t2.tolist()]
         values = np.ascontiguousarray(surface.values, dtype=np.float64)
         bits, cells = np.unique(values.view(np.int64), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        for a, row in zip(surface.t1.tolist(), cells.reshape(values.shape)):
-            head = repr(a)
-            yield "\n".join([head + c + text[k] for c, k in zip(cols, row.tolist())])
-            yield "\n"
+        text = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        row = np.empty((values.shape[1], 3), dtype=object)
+        row[:, 1] = [f",{b!r}," for b in surface.t2.tolist()]
+        for a, cells_row in zip(surface.t1.tolist(), cells.reshape(values.shape)):
+            row[:, 0] = repr(a)
+            row[:, 2] = text[cells_row]
+            yield "".join(row.ravel().tolist())
 
     _atomic_write(path, chunks())
 

@@ -50,6 +50,9 @@ MAX_SURFACE_CELLS = 10**8
 
 _STEP_TOL = 1e-9
 
+#: rows of the triple surface sampled per block in ``sample_p_ssi``
+_SURFACE_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ResponseKernel:
@@ -287,12 +290,11 @@ def _ccr_cell_averages(
     offs = ((np.arange(m) + 0.5) / m - 0.5) * step
     out = np.zeros((grid.size, grid.size))
     idx = np.nonzero(np.abs(grid) <= support + step)[0]
-    for i in idx:
-        ca = model.cross_correlation(params, grid[i] + offs)
+    cross = [model.cross_correlation(params, grid[i] + offs) for i in idx]
+    for i, ca in zip(idx, cross):
         if not np.any(ca):
             continue
-        for j in idx:
-            cb = model.cross_correlation(params, grid[j] + offs)
+        for j, cb in zip(idx, cross):
             r12 = model.auto_correlation(
                 params, (grid[i] + offs)[:, None] - (grid[j] + offs)[None, :]
             )
@@ -319,17 +321,22 @@ def sample_p_ssi(
     c2 = _cell_average(
         lambda t: model.cross_sq_cumulative(params, t), grid, grid_step
     )
-    diff = grid[:, None] - grid[None, :]
     q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
-    auto_sq_cells = (
-        q2(diff + grid_step) - 2.0 * q2(diff) + q2(diff - grid_step)
-    ) / grid_step**2
-    values = (
-        r**3
-        + r * (c2[:, None] + c2[None, :])
-        + r * auto_sq_cells
-        + _ccr_cell_averages(params, grid, grid_step)
-    )
+    values = _ccr_cell_averages(params, grid, grid_step)
+    # a block of rows at a time keeps the temporaries cache-sized; each cell
+    # goes through the same operations in the same order as a full matrix
+    for start in range(0, grid.size, _SURFACE_ROW_BLOCK):
+        rows = slice(start, start + _SURFACE_ROW_BLOCK)
+        diff = grid[rows, None] - grid[None, :]
+        auto_sq_cells = (
+            q2(diff + grid_step) - 2.0 * q2(diff) + q2(diff - grid_step)
+        ) / grid_step**2
+        values[rows] = (
+            r**3
+            + r * (c2[rows, None] + c2[None, :])
+            + r * auto_sq_cells
+            + values[rows]
+        )
     return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
 
 

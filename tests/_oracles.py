@@ -13,13 +13,20 @@ TICKS = 10**15
 
 
 def brute_pair_counts(ta, tb, delays_s, tauc_s):
-    """O(n^2) windowed pair counts via explicit difference matrices."""
+    """O(n^2) windowed pair counts via explicit difference matrices.
+
+    Each block of the full difference matrix is formed once; only entries
+    within max|tau| + tau_c of zero can fall in any window, so every window
+    is tested on that short vector.
+    """
     grid = np.rint(np.asarray(delays_s) * TICKS).astype(np.int64)
     tc = int(round(tauc_s * TICKS))
+    reach = int(np.max(np.abs(grid), initial=0)) + tc
     out = np.zeros(grid.size, dtype=np.int64)
     chunk = 2000
     for start in range(0, len(ta), chunk):
         d = ta[start : start + chunk, None] - tb[None, :]
+        d = d[np.abs(d) <= reach]
         for k, tau in enumerate(grid):
             out[k] += int(np.sum(np.abs(d - tau) <= tc))
     return out

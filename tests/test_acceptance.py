@@ -20,6 +20,7 @@ from spdclab import (
     pair_histogram,
     sample_g2_si,
     sample_p_ssi,
+    signal2_histograms,
     singles_rate,
     smear_curve,
     smear_surface,
@@ -40,11 +41,10 @@ def mc_run(source, chain, duration, seed, model, delays, tauc):
     idler, s1, s2 = apply_detector_chain(pairs, chain, seed)
     ri, r1 = singles_rate(idler), singles_rate(s1)
     hist_s1 = pair_histogram(s1, idler, delays, tauc)
-    hist_s2 = pair_histogram(s2, idler, delays, tauc)
-    triples = triple_histogram(idler, s1, s2, delays, tauc)
-    zero = pair_histogram(s1, idler, np.array([0.0]), tauc)
+    hist_s2, triples = signal2_histograms(idler, s1, s2, delays, tauc)
+    (zero,) = np.flatnonzero(delays == 0.0)
     g2bar = estimate_g2bar_si(hist_s1, r1, ri)
-    gbar2c = estimate_gbar2_c(triples, float(zero.rates[0]), hist_s2, ri)
+    gbar2c = estimate_gbar2_c(triples, float(hist_s1.rates[zero]), hist_s2, ri)
     return g2bar, gbar2c
 
 

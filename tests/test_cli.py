@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,6 +341,44 @@ class TestSurfaceCsv:
         assert body == surface_csv_body(surface.t1, surface.t2, surface.values)
         assert "-0.0" in body and "5e-324" in body and "0.30000000000000004" in body
         assert list(tmp_path.iterdir()) == [path]
+
+    @staticmethod
+    def _body(tmp_path, t1, t2, values):
+        # the writer reads only these fields, so a one-point axis, which
+        # CorrelationSurface refuses, can still be written
+        surface = SimpleNamespace(t1=np.asarray(t1), t2=np.asarray(t2),
+                                  values=np.asarray(values), unit="per_s3")
+        path = tmp_path / "surface.csv"
+        write_surface_csv(path, surface)
+        return path.read_text().partition("t1_s,t2_s,value_per_s3\n")[2]
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
+    def test_single_row_or_column(self, tmp_path, shape):
+        t1 = np.arange(shape[0]) * 5e-11 - 1e-10
+        t2 = np.arange(shape[1]) * 5e-11 + 3e-11
+        values = np.linspace(-1.0, 2.0, shape[0] * shape[1]).reshape(shape) / 3
+        body = self._body(tmp_path, t1, t2, values)
+        assert body == surface_csv_body(t1, t2, values)
+        assert body.count("\n") == values.size
+
+    def test_nans_with_different_bits(self, tmp_path):
+        values = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, -0.0]])
+        bits = values.view(np.int64)
+        bits[0, 0] = bits[1, 1] = 0x7FF8000000000000
+        bits[0, 2] = bits[1, 0] = 0xFFF8000000000001 - 2**64
+        assert np.unique(bits).size == 4
+        t1, t2 = np.array([0.0, 1e-11]), np.array([-1e-11, 0.0, 1e-11])
+        body = self._body(tmp_path, t1, t2, values)
+        assert body == surface_csv_body(t1, t2, values)
+        assert body.count(",nan\n") == 4
+
+    def test_values_repeat_across_rows(self, tmp_path):
+        rng = np.random.default_rng(37)
+        pool = np.array([0.1 + 0.2, -0.0, 0.0, 5e-324, 6.4e21, np.inf, np.nan])
+        values = rng.choice(pool, size=(37, 53))
+        t1, t2 = np.arange(37) * 5e-11 - 9e-10, np.arange(53) * 5e-11 - 1.3e-9
+        body = self._body(tmp_path, t1, t2, values)
+        assert body == surface_csv_body(t1, t2, values)
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "surface.csv"

@@ -13,6 +13,7 @@ from spdclab import (
     smear_curve,
     smear_surface,
 )
+from spdclab import model, smearing
 from spdclab.curves import CorrelationCurve
 
 from _oracles import numeric_smear
@@ -295,3 +296,26 @@ class TestSamplers:
         )
         rel = np.abs(surf.values - exact) / exact
         assert np.max(rel[interior]) < 2e-2
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_p_ssi_row_blocks_match_full_matrix(self, shape):
+        p = SourceParams(2e7, 1e-9, shape)
+        step, half_span = p.coherence_time / 20, 5 * p.coherence_time
+        surf = sample_p_ssi(p, step, half_span)
+        # the full-matrix formula, one expression over every cell
+        grid = surf.t1
+        assert grid.size > smearing._SURFACE_ROW_BLOCK
+        assert grid.size % smearing._SURFACE_ROW_BLOCK
+        r = p.pair_rate
+        c2 = smearing._cell_average(
+            lambda t: model.cross_sq_cumulative(p, t), grid, step)
+        diff = grid[:, None] - grid[None, :]
+        q2 = lambda t: model.auto_sq_antider2(p, t)  # noqa: E731
+        auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
+        full = (
+            r**3
+            + r * (c2[:, None] + c2[None, :])
+            + r * auto_sq_cells
+            + smearing._ccr_cell_averages(p, grid, step)
+        )
+        assert np.array_equal(surf.values.view(np.int64), full.view(np.int64))
