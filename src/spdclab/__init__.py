@@ -63,7 +63,6 @@ from .smearing import (
     gbar2c_analytic,
     predict_plateaus,
     sample_g2_si,
-    sample_g2_ss,
     sample_p_ssi,
     smear_curve,
     smear_surface,

@@ -22,10 +22,10 @@ below each cell start, and a few compare-and-step rounds pass the edges
 inside the cell.  The kernel takes one weight row per output histogram and
 bins each difference once for all of them, so ``signal2_histograms`` counts
 the signal2-idler pairs (unit weight) and the triples (signal1 gate
-occupancy of the idler) in one pass.  Memory is set by the chunk, not by
-the run.  Counting a stream in consecutive chunks gives bit-identical
-results, which is the sharding contract for parallel or out-of-core
-operation.
+occupancy of the idler) in one pass, and ``triple_histogram`` is the triple
+half of that pass.  Memory is set by the chunk, not by the run.  Counting a
+stream in consecutive chunks gives bit-identical results, which is the
+sharding contract for parallel or out-of-core operation.
 """
 from __future__ import annotations
 
@@ -210,26 +210,13 @@ def triple_histogram(
     *,
     chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
-    """Count (idler, signal1, signal2) triples per grid delay.
+    """Count (idler, signal1, signal2) triples per grid delay: the triple
+    half of ``signal2_histograms``.
 
     Each idler contributes (partners in the signal1 gate) times (partners in
-    the delay-tau signal2 window); the product form is realized as a
-    weighted difference histogram between idler and signal2 with the
-    signal1 gate occupancy as weight, which keeps one merge pass per stream.
-    ``chunk_size`` gated idlers are counted at a time.
+    the delay-tau signal2 window).
     """
-    if tauc <= 0:
-        raise ValueError("tauc must be positive")
-    duration = _common_duration(i, s1, s2)
-    n1 = _gate_occupancy(i, s1, tauc)
-    gated = n1 > 0
-    delays = np.asarray(delays, dtype=float)
-    lows, highs = _window_bounds(delays, tauc)
-    # idlers are the chunked reference so each one carries its gate weight;
-    # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
-    (counts,) = _edge_binned_counts(i.timestamps[gated], s2.timestamps, 1 - highs,
-                                    1 - lows, chunk_size, (n1[gated],))
-    return Histogram(delays, counts, duration, tauc)
+    return signal2_histograms(i, s1, s2, delays, tauc, chunk_size=chunk_size)[1]
 
 
 def signal2_histograms(
@@ -241,8 +228,8 @@ def signal2_histograms(
     *,
     chunk_size: int = CHUNK_SIZE,
 ) -> tuple[Histogram, Histogram]:
-    """Signal2-idler pairs and triples, ``(pair_histogram(s2, i, ...),
-    triple_histogram(i, s1, s2, ...))``, from one pass.
+    """Signal2-idler pairs, ``pair_histogram(s2, i, ...)``, and (idler,
+    signal1, signal2) triples from one pass.
 
     Both count the same idler-signal2 differences, the triples weighted by
     the idler's signal1 gate occupancy (0 for an idler without a signal1
@@ -255,6 +242,8 @@ def signal2_histograms(
     n1 = _gate_occupancy(i, s1, tauc)
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
+    # idlers are the chunked reference so each one carries its gate weight;
+    # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
     pairs, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
                                          1 - lows, chunk_size, (None, n1))
     return (Histogram(delays, pairs, duration, tauc),

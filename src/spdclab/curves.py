@@ -28,14 +28,26 @@ def _check_uniform(delays: np.ndarray) -> float:
     return step
 
 
-def _grid_index(grid: np.ndarray, x: float) -> int:
-    """Index of the point of ``grid`` at ``x``; raises ``GridError`` when
-    ``x`` is further than 1e-6 of the grid spacing from every point."""
-    i = int(np.argmin(np.abs(grid - x)))
-    spacing = np.min(np.abs(np.diff(grid))) if grid.size > 1 else 0.0
-    if not abs(grid[i] - x) <= 1e-6 * spacing:
-        raise GridError(f"{x} is not a point of the grid [{grid[0]}, {grid[-1]}]")
-    return i
+def _grid_index(grid: np.ndarray, x):
+    """Index of the point of ``grid`` at ``x``, an int for a scalar and an
+    int array for an array of queries; raises ``GridError`` when a query is
+    further than 1e-6 of the grid spacing from every point."""
+    q = np.asarray(x, dtype=float)
+    order = np.argsort(grid, kind="stable")
+    ascending = grid[order]
+    i = np.searchsorted(ascending, q).clip(0, grid.size - 1)
+    # the nearest point is the one at or after the query or the one before
+    # it; a tie goes to the lower index
+    before = (i - 1).clip(0)
+    i = np.where(np.abs(ascending[before] - q) <= np.abs(ascending[i] - q),
+                 before, i)
+    spacing = np.min(np.diff(ascending)) if grid.size > 1 else 0.0
+    off = ~(np.abs(ascending[i] - q) <= 1e-6 * spacing)
+    if np.any(off):
+        raise GridError(f"{q[off][0]} is not a point of the grid "
+                        f"[{grid[0]}, {grid[-1]}]")
+    i = order[i]
+    return int(i) if i.ndim == 0 else i
 
 
 @dataclass

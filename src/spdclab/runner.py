@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
-from .curves import CorrelationSurface
+from .curves import CorrelationSurface, _grid_index
 from .params import GridError
 from .scenario import Scenario
 
@@ -224,45 +224,51 @@ def run_simulate(scenario: Scenario, outdir) -> dict[str, str]:
     return {"events": path}
 
 
+def _count_streams(idler, s1, s2, delays, tauc):
+    """Singles rates, coincidence histograms and both estimators of one run.
+
+    Returns ``(rates, histograms, g2bar, gbar2c)``: the singles rate of each
+    channel and each histogram, keyed by the name they are written under.
+    ``delays`` must hold 0.0, where the heralding pair rate is read.
+    """
+    rates = {name: correlate.singles_rate(stream)
+             for name, stream in zip(events.CHANNELS, (idler, s1, s2))}
+    pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
+    pairs_s2, triples = correlate.signal2_histograms(idler, s1, s2, delays, tauc)
+    g2bar = correlate.estimate_g2bar_si(pairs_s1, rates["signal1"], rates["idler"])
+    pairs0 = float(pairs_s1.rates[_grid_index(pairs_s1.delays, 0.0)])
+    gbar2c = correlate.estimate_gbar2_c(triples, pairs0, pairs_s2, rates["idler"])
+    histograms = {"pairs_s1_idler": pairs_s1, "pairs_s2_idler": pairs_s2,
+                  "triples": triples}
+    return rates, histograms, g2bar, gbar2c
+
+
 def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     """Count coincidences in an .evt file and emit the estimator curves."""
     os.makedirs(outdir, exist_ok=True)
     streams = {s.channel: s for s in evtfile.read_events(evt_path)}
-    idler, s1, s2 = streams["idler"], streams["signal1"], streams["signal2"]
     window = scenario.window
-    delays = window.delays()
-    tauc = window.coincidence_halfwidth
+    rates, histograms, g2bar, gbar2c = _count_streams(
+        streams["idler"], streams["signal1"], streams["signal2"],
+        window.delays(), window.coincidence_halfwidth,
+    )
     out = {}
 
-    rates = {name: correlate.singles_rate(streams[name]) for name in streams}
     lines = _header(scenario)
     lines.append("channel,rate_per_s,stderr_per_s")
-    names = ("idler", "signal1", "signal2")
-    rows = _rows([rates[n].value for n in names], [rates[n].stderr for n in names])
-    lines += [f"{name},{row}" for name, row in zip(names, rows)]
+    rows = _rows([r.value for r in rates.values()], [r.stderr for r in rates.values()])
+    lines += [f"{name},{row}" for name, row in zip(rates, rows)]
     _write_lines(_product(out, outdir, "singles"), lines)
 
-    pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
-    pairs_s2, triples = correlate.signal2_histograms(idler, s1, s2, delays, tauc)
-
-    for name, hist in (("pairs_s1_idler", pairs_s1), ("pairs_s2_idler", pairs_s2),
-                       ("triples", triples)):
+    for name, hist in histograms.items():
         lines = _header(scenario)
         lines.append("delay_s,counts")
         lines += _rows(hist.delays, hist.counts)
         _write_lines(_product(out, outdir, name), lines)
 
-    g2bar = correlate.estimate_g2bar_si(pairs_s1, rates["signal1"], rates["idler"])
-    write_curve_csv(_product(out, outdir, "g2bar_si"), g2bar.delays, g2bar.values,
-                    g2bar.stderr, scenario=scenario)
-
-    zero = np.flatnonzero(delays == 0.0)
-    if zero.size != 1:
-        raise GridError("delay grid must hold exactly one zero delay")
-    pairs0 = float(pairs_s1.rates[zero[0]])
-    gbar2c = correlate.estimate_gbar2_c(triples, pairs0, pairs_s2, rates["idler"])
-    write_curve_csv(_product(out, outdir, "gbar2_c"), gbar2c.delays, gbar2c.values,
-                    gbar2c.stderr, scenario=scenario)
+    for name, est in (("g2bar_si", g2bar), ("gbar2_c", gbar2c)):
+        write_curve_csv(_product(out, outdir, name), est.delays, est.values,
+                        est.stderr, scenario=scenario)
     return out
 
 

@@ -29,6 +29,7 @@ from .curves import (
     UNIT_PER_S3,
     CorrelationCurve,
     CorrelationSurface,
+    _grid_index,
 )
 from .params import GridError, GuardError, SourceParams
 
@@ -41,7 +42,6 @@ __all__ = [
     "predict_plateaus",
     "gbar2c_analytic",
     "sample_g2_si",
-    "sample_g2_ss",
     "sample_p_ssi",
 ]
 
@@ -264,18 +264,6 @@ def sample_g2_si(
     return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
 
 
-def sample_g2_ss(
-    params: SourceParams, grid_step: float, half_span: float
-) -> CorrelationCurve:
-    """Sample the unconditioned signal-signal coherence, area-preserving."""
-    grid = _symmetric_grid(grid_step, half_span)
-    excess = _cell_average(
-        lambda t: model.auto_sq_cumulative(params, t), grid, grid_step
-    )
-    values = 1.0 + excess / params.pair_rate**2
-    return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
-
-
 def _ccr_cell_averages(
     params: SourceParams, grid: np.ndarray, step: float
 ) -> np.ndarray:
@@ -345,16 +333,6 @@ def sample_p_ssi(
 # ---------------------------------------------------------------------------
 
 
-def _index_on(grid_step: float, half_len: int, delays: np.ndarray) -> np.ndarray:
-    idx = delays / grid_step
-    rounded = np.rint(idx).astype(int)
-    if np.any(np.abs(idx - rounded) > 1e-6):
-        raise GridError("requested delays must sit on the kernel grid")
-    if np.any(np.abs(rounded) > half_len):
-        raise GridError("requested delays exceed the computed span")
-    return rounded + half_len
-
-
 def gbar2c_analytic(
     params: SourceParams, kernel: ResponseKernel, tau_grid
 ) -> CorrelationCurve:
@@ -407,7 +385,7 @@ def gbar2c_analytic(
     c_term = np.convolve(w_cc, k, mode="same")
 
     e0 = e[half_len]
-    idx = _index_on(h, half_len, tau_grid)
+    idx = _grid_index(grid, tau_grid)
     numerator = 1.0 + e0 + e[idx] + d[idx] + c_term[idx]
     values = numerator / ((1.0 + e0) * (1.0 + e[idx]))
     return CorrelationCurve(tau_grid, values, UNIT_DIMENSIONLESS)

@@ -14,19 +14,18 @@ from spdclab import (
     apply_detector_chain,
     build_kernel,
     estimate_g2bar_si,
-    estimate_gbar2_c,
     gen_poisson_pairs,
     gen_thermal_cells,
     pair_histogram,
     sample_g2_si,
     sample_p_ssi,
-    signal2_histograms,
     singles_rate,
     smear_curve,
     smear_surface,
     triple_histogram,
 )
 from spdclab.model import g2_c, g2_si
+from spdclab.runner import _count_streams
 
 from _oracles import brute_pair_counts, brute_triple_counts
 
@@ -39,12 +38,7 @@ def mc_run(source, chain, duration, seed, model, delays, tauc):
     gen = gen_thermal_cells if model == "thermal" else gen_poisson_pairs
     pairs = gen(source, duration, seed)
     idler, s1, s2 = apply_detector_chain(pairs, chain, seed)
-    ri, r1 = singles_rate(idler), singles_rate(s1)
-    hist_s1 = pair_histogram(s1, idler, delays, tauc)
-    hist_s2, triples = signal2_histograms(idler, s1, s2, delays, tauc)
-    (zero,) = np.flatnonzero(delays == 0.0)
-    g2bar = estimate_g2bar_si(hist_s1, r1, ri)
-    gbar2c = estimate_gbar2_c(triples, float(hist_s1.rates[zero]), hist_s2, ri)
+    _, _, g2bar, gbar2c = _count_streams(idler, s1, s2, delays, tauc)
     return g2bar, gbar2c
 
 

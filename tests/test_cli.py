@@ -1,14 +1,23 @@
 import concurrent.futures
 import os
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spdclab import ConfigError, CorrelationSurface, parse_scenario
+from spdclab import (
+    CHANNELS,
+    ConfigError,
+    CorrelationSurface,
+    EventStream,
+    GridError,
+    parse_scenario,
+)
 from spdclab.cli import main
 from spdclab.runner import (
+    _count_streams,
     read_curve_csv,
     run_compare,
     write_curve_csv,
@@ -317,6 +326,24 @@ class TestCliCommands:
         assert "--key" in capsys.readouterr().err
         assert started == []
         assert not out.exists()
+
+
+def test_count_needs_zero_delay():
+    streams = [EventStream(c, np.arange(0, 10**6, 10**4), 10**6) for c in CHANNELS]
+    with pytest.raises(GridError, match="0.0 is not a point"):
+        _count_streams(*streams, np.array([-1e-9, 1e-9]), 5e-10)
+
+
+def test_readme_sweep_example(tmp_path, monkeypatch):
+    """The README's scenario and sweep command run as documented."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (scenario,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    (command,) = re.findall(r"^spdclab\s+sweep\s.*$",
+                            readme.replace("\\\n", " "), re.M)
+    argv = command.split()[1:]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / argv[1]).write_text(scenario)
+    assert main(argv) == 0
 
 
 class TestSurfaceCsv:

@@ -20,6 +20,7 @@ from spdclab import (
     triple_histogram,
 )
 from spdclab.correlate import _edge_binner, _window_bounds
+from spdclab.curves import _grid_index
 
 from _oracles import brute_pair_counts, brute_triple_counts
 
@@ -329,6 +330,16 @@ class TestEstimators:
         assert surface.value_at(20e-9, -20e-9) == 0.0
         with pytest.raises(GridError):
             surface.value_at(0.0, 0.5e-9)
+
+    def test_lookup_array_matches_nearest_point(self):
+        grid = np.arange(-400, 401) * 5e-11
+        queries = grid[::-7] * (1 + 1e-9)
+        for points in (grid, grid[::-1]):
+            want = [int(np.argmin(np.abs(points - x))) for x in queries]
+            assert _grid_index(points, queries).tolist() == want
+        assert _grid_index(grid, queries[:0]).size == 0
+        with pytest.raises(GridError):
+            _grid_index(grid, np.append(queries, 1.23e-11))
 
     def test_accidentals_normalize_to_one(self):
         duration = 1.0

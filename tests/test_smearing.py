@@ -8,7 +8,6 @@ from spdclab import (
     gbar2c_analytic,
     predict_plateaus,
     sample_g2_si,
-    sample_g2_ss,
     sample_p_ssi,
     smear_curve,
     smear_surface,
@@ -274,8 +273,8 @@ class TestSamplers:
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_g2ss_excess_integral(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
-        curve = sample_g2_ss(p, 0.05e-9, 5e-9)
-        total = np.sum(curve.values - 1) * curve.step
+        total = (model.auto_sq_cumulative(p, 5e-9)
+                 - model.auto_sq_cumulative(p, -5e-9)) / p.pair_rate**2
         expected = p.coherence_time if shape == "box" else 2 * p.coherence_time / 3
         assert total == pytest.approx(expected, rel=1e-12)
 
