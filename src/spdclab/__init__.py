@@ -20,10 +20,10 @@ from .curves import (
 )
 from .correlate import (
     RateEstimate,
+    coincidence_histograms,
     estimate_g2bar_si,
     estimate_gbar2_c,
     pair_histogram,
-    signal2_histograms,
     singles_rate,
     triple_histogram,
 )

@@ -13,19 +13,25 @@ Counting conventions:
 
 Every counter runs one edge-binned kernel (the arbitrary-bin method of
 Laurence et al., Opt. Lett. 31, 829 (2006)): per chunk of reference events
-a vectorized merge pass finds every difference that can land in a window
-and bins it between the sorted window edges (at most 2 x n_delays); a
-window count is a difference of cumulative bin totals.  A difference finds
-its bin by table lookup, not binary search: the edge range is cut into
-power-of-two cells, about 16-32 per edge, a table gives the last edge at or
-below each cell start, and a few compare-and-step rounds pass the edges
-inside the cell.  The kernel takes one weight row per output histogram and
-bins each difference once for all of them, so ``signal2_histograms`` counts
-the signal2-idler pairs (unit weight) and the triples (signal1 gate
-occupancy of the idler) in one pass, and ``triple_histogram`` is the triple
-half of that pass.  Memory is set by the chunk, not by the run.  Counting a
-stream in consecutive chunks gives bit-identical results, which is the
-sharding contract for parallel or out-of-core operation.
+a merge of the chunk's window limits into the partner stream (one stable
+sort of two sorted runs) finds every difference that can land in a window,
+and each difference is binned between the sorted, distinct window edges (at
+most 2 x n_delays); a window count is a difference of cumulative bin
+totals.  A difference finds its bin by table lookup, not binary search: the
+edge range is cut into power-of-two cells, about 16-32 per edge, a table
+gives the last edge at or below each cell start, and a few compare-and-step
+rounds pass the edges inside the cell.  The kernel takes one weight row per
+output histogram and bins each difference once for all of them, and it can
+count, per partner event, the differences that fall in one extra window.
+
+``coincidence_histograms`` makes the two passes that ``count`` needs.  The
+signal1-idler pass also yields each idler's signal1 gate occupancy from the
+differences it forms; the idler-signal2 pass then counts the signal2-idler
+pairs (unit weight) and the triples (the idler's gate occupancy) at once.
+``triple_histogram`` is the triple part of that call.  Memory is set by the
+chunk, not by the run.  Counting a stream in consecutive chunks gives
+bit-identical results, which is the sharding contract for parallel or
+out-of-core operation.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ __all__ = [
     "singles_rate",
     "pair_histogram",
     "triple_histogram",
-    "signal2_histograms",
+    "coincidence_histograms",
     "estimate_g2bar_si",
     "estimate_gbar2_c",
 ]
@@ -115,6 +121,21 @@ def _edge_binner(edges: np.ndarray):
     return bins
 
 
+def _ranks(tb: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(tb, q, "right")`` for a sorted ``q``, by one merge.
+
+    A stable argsort of the slice of ``tb`` that ``q`` spans followed by
+    ``q`` merges two sorted runs in linear time; each query lands after the
+    ``tb`` values equal to it and after the queries before it.
+    """
+    if q.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    first = int(np.searchsorted(tb, q[0], side="right"))
+    span = tb[first : np.searchsorted(tb, q[-1], side="right")]
+    order = np.argsort(np.concatenate((span, q)), kind="stable")
+    return np.flatnonzero(order >= span.size) + (first - np.arange(q.size))
+
+
 def _edge_binned_counts(
     ta: np.ndarray,
     tb: np.ndarray,
@@ -122,31 +143,47 @@ def _edge_binned_counts(
     highs: np.ndarray,
     chunk_size: int,
     weights: tuple = (None,),
+    occupancy: tuple | None = None,
 ) -> np.ndarray:
     """Per weight row r and window k, the weighted count of ta_i - tb_j in
     [lows[k], highs[k]).
 
     Each row of ``weights`` is ``None`` (unit weight) or one integer weight
     per event of ``ta``; the differences and their bins are formed once and
-    shared by every row.  Each reference event of ``ta`` is owned by exactly
-    one chunk and the bin totals are exact integers, so chunked and
-    unchunked counts agree exactly.
+    shared by every row.  ``occupancy=(low, high, out)`` also adds to
+    ``out[j]`` the number of ``ta`` events with ta_i - tb_j in [low, high),
+    a range that must lie inside the windows' span.  Each reference event
+    of ``ta`` is owned by exactly one chunk and the bin totals are exact
+    integers, so chunked and unchunked counts agree exactly.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    edges = np.sort(np.concatenate((lows, highs)))
+    # a repeated edge would only add stepping rounds to the binner
+    edges = np.unique(np.concatenate((lows, highs)))
     lo, hi = int(edges[0]), int(edges[-1])
     bin_of = _edge_binner(edges)
     # bin b holds the differences d with edges[b] <= d < edges[b + 1]
     totals = np.zeros((len(weights), edges.size - 1), dtype=np.int64)
     for start in range(0, ta.size, chunk_size):
         chunk = ta[start : start + chunk_size]
-        j0 = np.searchsorted(tb, chunk - hi + 1, side="left")
-        j1 = np.searchsorted(tb, chunk - lo, side="right")
+        # partners tb_j with lo <= chunk - tb_j < hi, that is, with
+        # chunk - hi < tb_j <= chunk - lo
+        j0 = _ranks(tb, chunk - hi)
+        j1 = _ranks(tb, chunk - lo)
         counts = j1 - j0
-        # the differences are dropped as soon as they are binned, which
-        # keeps them out of the weighted rows' peak memory
-        bins = bin_of(np.repeat(chunk, counts) - tb[_ragged_ranges(j0, j1)])
+        partners = _ragged_ranges(j0, j1)
+        d = np.repeat(chunk, counts)
+        d -= tb[partners]
+        if occupancy is not None:
+            low, high, out = occupancy
+            first, stop = int(j0[0]), int(j1[-1])
+            hit = partners[(d >= low) & (d < high)] - first
+            out[first:stop] += np.bincount(hit, minlength=stop - first)
+        # every difference-sized array is dropped as soon as it is used, so
+        # none of them stays alive into the next step or the next chunk
+        del partners
+        bins = bin_of(d)
+        del d
         for row, weight in zip(totals, weights):
             if weight is None:
                 row += np.bincount(bins, minlength=row.size)
@@ -154,6 +191,8 @@ def _edge_binned_counts(
                 w = np.repeat(weight[start : start + chunk_size], counts)
                 # integer weights sum exactly in float64 below 2**53 per chunk
                 row += np.bincount(bins, w, minlength=row.size).astype(np.int64)
+                del w
+        del bins
     cumulative = np.concatenate((np.zeros((len(weights), 1), np.int64),
                                  np.cumsum(totals, axis=1)), axis=1)
     return (
@@ -191,16 +230,6 @@ def pair_histogram(
     return Histogram(delays, counts, duration, tauc)
 
 
-def _gate_occupancy(i: EventStream, s1: EventStream, tauc: float) -> np.ndarray:
-    """Signal1 partners of every idler within its gate |t_s1 - t_i| <= tau_c."""
-    tc = seconds_to_ticks(tauc)
-    ti, ts1 = i.timestamps, s1.timestamps
-    return (
-        np.searchsorted(ts1, ti + tc, side="right")
-        - np.searchsorted(ts1, ti - tc, side="left")
-    ).astype(np.int64)
-
-
 def triple_histogram(
     i: EventStream,
     s1: EventStream,
@@ -210,16 +239,16 @@ def triple_histogram(
     *,
     chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
-    """Count (idler, signal1, signal2) triples per grid delay: the triple
-    half of ``signal2_histograms``.
+    """Count (idler, signal1, signal2) triples per grid delay: the triples
+    of ``coincidence_histograms``.
 
     Each idler contributes (partners in the signal1 gate) times (partners in
     the delay-tau signal2 window).
     """
-    return signal2_histograms(i, s1, s2, delays, tauc, chunk_size=chunk_size)[1]
+    return coincidence_histograms(i, s1, s2, delays, tauc, chunk_size=chunk_size)[2]
 
 
-def signal2_histograms(
+def coincidence_histograms(
     i: EventStream,
     s1: EventStream,
     s2: EventStream,
@@ -227,27 +256,34 @@ def signal2_histograms(
     tauc: float,
     *,
     chunk_size: int = CHUNK_SIZE,
-) -> tuple[Histogram, Histogram]:
-    """Signal2-idler pairs, ``pair_histogram(s2, i, ...)``, and (idler,
-    signal1, signal2) triples from one pass.
+) -> tuple[Histogram, Histogram, Histogram]:
+    """Signal1-idler pairs, ``pair_histogram(s1, i, ...)``, signal2-idler
+    pairs, ``pair_histogram(s2, i, ...)``, and (idler, signal1, signal2)
+    triples from two passes.
 
-    Both count the same idler-signal2 differences, the triples weighted by
-    the idler's signal1 gate occupancy (0 for an idler without a signal1
-    partner), so one merge pass over every idler bins each difference once
-    for both.  ``chunk_size`` idlers are counted at a time.
+    The signal1 pass also counts each idler's signal1 gate occupancy from
+    the differences it forms anyway; the gate window is counted with the
+    grid's windows and its count dropped, so the grid need not hold 0.  The
+    idler pass bins the idler-signal2 differences once for the pairs and
+    for the triples, each weighted by its idler's occupancy.  ``chunk_size``
+    reference events are counted at a time.
     """
     if tauc <= 0:
         raise ValueError("tauc must be positive")
     duration = _common_duration(i, s1, s2)
-    n1 = _gate_occupancy(i, s1, tauc)
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
+    tc = seconds_to_ticks(tauc)
+    n1 = np.zeros(len(i), dtype=np.int64)
+    pairs_s1 = _edge_binned_counts(
+        s1.timestamps, i.timestamps, np.append(lows, -tc), np.append(highs, tc + 1),
+        chunk_size, occupancy=(-tc, tc + 1, n1))[0, :-1]
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
-    pairs, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
-                                         1 - lows, chunk_size, (None, n1))
-    return (Histogram(delays, pairs, duration, tauc),
-            Histogram(delays, triples, duration, tauc))
+    pairs_s2, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
+                                            1 - lows, chunk_size, (None, n1))
+    return tuple(Histogram(delays, counts, duration, tauc)
+                 for counts in (pairs_s1, pairs_s2, triples))
 
 
 def estimate_g2bar_si(

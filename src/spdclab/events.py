@@ -68,7 +68,7 @@ class PairList:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        if self.times.size and np.any(np.diff(self.times) < 0):
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("pair times must be sorted")
 
     def __len__(self) -> int:
@@ -97,7 +97,7 @@ class EventStream:
             ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         if ts.size:
-            if np.any(np.diff(ts) <= 0):
+            if np.any(ts[1:] <= ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
             if ts[0] < 0 or ts[-1] > self.duration:
                 raise ValueError("timestamps must lie within [0, duration]")

@@ -12,8 +12,8 @@ Layout (all little-endian):
 
 One femtosecond tick resolves sub-picosecond coherence times; timestamps
 below 2**63 ticks cover about 9.2e3 seconds of acquisition.  A file holds
-each of the three channels exactly once.  Writes go through a temp file
-and an atomic rename.
+each of the three channels exactly once, all with one positive duration.
+Writes go through a temp file and an atomic rename.
 """
 from __future__ import annotations
 
@@ -75,8 +75,8 @@ def read_events(path) -> list[EventStream]:
 
     Each channel's timestamps are read straight into one aligned, read-only
     array, with no intermediate copy.  Any content that does not hold each
-    channel once, in strictly increasing order within ``[0, duration]``,
-    raises ``EvtFormatError``.
+    channel once, in strictly increasing order within ``[0, duration]`` of
+    one shared, positive duration, raises ``EvtFormatError``.
     """
     path = os.fspath(path)
     started = time.perf_counter()
@@ -120,6 +120,14 @@ def read_events(path) -> list[EventStream]:
         raise EvtFormatError(
             f"{path}: holds channels {channels}, expected each of {list(CHANNELS)} once"
         )
+    durations = {s.duration for s in streams}
+    if len(durations) != 1:
+        raise EvtFormatError(
+            f"{path}: channels declare durations {sorted(durations)} ticks, "
+            "expected one shared duration"
+        )
+    if 0 in durations:
+        raise EvtFormatError(f"{path}: declares a zero duration")
     elapsed = time.perf_counter() - started
     if elapsed > 0:
         logger.debug(

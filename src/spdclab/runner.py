@@ -16,7 +16,7 @@ import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
 from .curves import CorrelationSurface, _grid_index
-from .params import GridError
+from .params import GridError, SpdcLabError
 from .scenario import Scenario
 
 __all__ = [
@@ -229,14 +229,22 @@ def _count_streams(idler, s1, s2, delays, tauc):
 
     Returns ``(rates, histograms, g2bar, gbar2c)``: the singles rate of each
     channel and each histogram, keyed by the name they are written under.
-    ``delays`` must hold 0.0, where the heralding pair rate is read.
+    ``delays`` must hold 0.0, where the heralding pair rate is read.  The
+    estimators divide by the idler and signal1 rates and by that pair rate,
+    so a run where any of them is zero raises ``SpdcLabError``.
     """
+    for stream in (idler, s1):
+        if len(stream) == 0:
+            raise SpdcLabError(f"{stream.channel} channel holds no events, "
+                               "so no coincidence rate can be normalized")
     rates = {name: correlate.singles_rate(stream)
              for name, stream in zip(events.CHANNELS, (idler, s1, s2))}
-    pairs_s1 = correlate.pair_histogram(s1, idler, delays, tauc)
-    pairs_s2, triples = correlate.signal2_histograms(idler, s1, s2, delays, tauc)
+    pairs_s1, pairs_s2, triples = correlate.coincidence_histograms(
+        idler, s1, s2, delays, tauc)
     g2bar = correlate.estimate_g2bar_si(pairs_s1, rates["signal1"], rates["idler"])
     pairs0 = float(pairs_s1.rates[_grid_index(pairs_s1.delays, 0.0)])
+    if pairs0 == 0:
+        raise SpdcLabError("no signal1-idler pair lies in the zero-delay window")
     gbar2c = correlate.estimate_gbar2_c(triples, pairs0, pairs_s2, rates["idler"])
     histograms = {"pairs_s1_idler": pairs_s1, "pairs_s2_idler": pairs_s2,
                   "triples": triples}

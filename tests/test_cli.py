@@ -164,7 +164,9 @@ class TestCliCommands:
         [(0, 10**12, [9, 5]), (1, 10**12, [1]), (2, 10**12, [2])],
         [(0, 10**12, [5]), (1, 10**12, [1])],
         [(0, 10**12, [5]), (1, 10**12, [1]), (1, 10**12, [2]), (2, 10**12, [3])],
-    ], ids=["unsorted", "missing", "repeated"])
+        [(0, 10**12, [5]), (1, 2 * 10**12, [1]), (2, 10**12, [3])],
+        [(0, 0, [0]), (1, 0, [0]), (2, 0, [])],
+    ], ids=["unsorted", "missing", "repeated", "durations_differ", "zero_duration"])
     def test_malformed_evt_exit_code(self, config_path, tmp_path, capsys,
                                      channels):
         evt = tmp_path / "bad.evt"
@@ -181,6 +183,23 @@ class TestCliCommands:
         code = main(["count", config_path, str(evt), "-o", str(tmp_path / "c")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {evt}: ")
+        assert not list((tmp_path / "c").glob("*.csv"))
+
+    @pytest.mark.parametrize("channels, message", [
+        ([(0, 10**12, []), (1, 10**12, [1]), (2, 10**12, [2])],
+         "idler channel holds no events"),
+        ([(0, 10**12, [5]), (1, 10**12, []), (2, 10**12, [2])],
+         "signal1 channel holds no events"),
+        ([(0, 10**12, [5]), (1, 10**12, [10**11]), (2, 10**12, [2])],
+         "no signal1-idler pair lies in the zero-delay window"),
+    ], ids=["no_idler", "no_signal1", "no_zero_delay_pair"])
+    def test_unnormalizable_evt_exit_code(self, config_path, tmp_path, capsys,
+                                          channels, message):
+        evt = tmp_path / "sparse.evt"
+        evt.write_bytes(raw_evt(*channels))
+        code = main(["count", config_path, str(evt), "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list((tmp_path / "c").glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [

@@ -11,15 +11,21 @@ from spdclab import (
     GridError,
     SourceParams,
     apply_detector_chain,
+    coincidence_histograms,
     estimate_g2bar_si,
     estimate_gbar2_c,
     gen_poisson_pairs,
     pair_histogram,
-    signal2_histograms,
     singles_rate,
     triple_histogram,
 )
-from spdclab.correlate import _edge_binner, _window_bounds
+from spdclab.correlate import (
+    CHUNK_SIZE,
+    _edge_binned_counts,
+    _edge_binner,
+    _ranks,
+    _window_bounds,
+)
 from spdclab.curves import _grid_index
 
 from _oracles import brute_pair_counts, brute_triple_counts
@@ -264,21 +270,60 @@ class TestCountingProperties:
     @example(case=([{5}, set(), {5}], [0], 1, 10), chunk="default")
     @example(case=([{0, 5, 10}, {0, 4, 10}, {0, 6, 9, 10}], [-5, 0, 5], 1, 10),
              chunk=2)
+    # no delay 0, and the signal1 gate [-2, 2] lies outside the windows' span
+    @example(case=([{10, 20}, {9, 11, 20, 30}, {55, 60, 61, 70}], [40, 50], 2, 80),
+             chunk=1)
     def test_signal2_matches_oracles(self, case, chunk):
         (ti, ts1, ts2), grid, tc, duration = case
         i = _tick_stream("idler", ti, duration)
         s1 = _tick_stream("signal1", ts1, duration)
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
-        pairs, triples = signal2_histograms(i, s1, s2, delays, tauc,
-                                            **_chunk_kwargs(chunk, len(i)))
+        pairs_s1, pairs_s2, triples = coincidence_histograms(
+            i, s1, s2, delays, tauc, **_chunk_kwargs(chunk, max(len(i), len(s1))))
         assert np.array_equal(
-            pairs.counts,
+            pairs_s1.counts,
+            brute_pair_counts(s1.timestamps, i.timestamps, delays, tauc))
+        assert np.array_equal(
+            pairs_s2.counts,
             brute_pair_counts(s2.timestamps, i.timestamps, delays, tauc))
         assert np.array_equal(
             triples.counts,
             brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
                                 delays, tauc))
+
+    @_PROPERTY
+    @given(case=_counting_case(2), chunk=_CHUNKS, data=st.data())
+    def test_occupancy_matches_per_partner_count(self, case, chunk, data):
+        (tb, ta), grid, tc, _ = case
+        ta = np.array(sorted(ta), dtype=np.int64)
+        tb = np.array(sorted(tb), dtype=np.int64)
+        lows, highs = _window_bounds(*_seconds(grid, tc))
+        low = data.draw(st.integers(int(lows.min()), int(highs.max())))
+        high = data.draw(st.integers(low, int(highs.max())))
+        chunk_size = _chunk_kwargs(chunk, ta.size).get("chunk_size", CHUNK_SIZE)
+        out = np.zeros(tb.size, dtype=np.int64)
+        (counts,) = _edge_binned_counts(ta, tb, lows, highs, chunk_size,
+                                        occupancy=(low, high, out))
+        d = ta[None, :] - tb[:, None]
+        assert np.array_equal(out, np.sum((d >= low) & (d < high), axis=1))
+        assert np.array_equal(counts, brute_pair_counts(ta, tb, *_seconds(grid, tc)))
+
+
+_SORTED_TICKS = st.lists(st.integers(-50, 50), max_size=40).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tb=_SORTED_TICKS, q=_SORTED_TICKS)
+@example(tb=[], q=[])
+@example(tb=[], q=[1, 2])
+@example(tb=[1, 2], q=[])
+@example(tb=[1, 1, 1, 4, 4, 9], q=[0, 1, 1, 4, 5, 9, 9, 10])
+@example(tb=[3, 5, 5, 7], q=[-9, -2, 0])
+@example(tb=[3, 5, 5, 7], q=[7, 8, 20, 20])
+def test_ranks_match_searchsorted(tb, q):
+    tb, q = np.array(tb, dtype=np.int64), np.array(q, dtype=np.int64)
+    assert np.array_equal(_ranks(tb, q), np.searchsorted(tb, q, side="right"))
 
 
 # (delays, tauc) in seconds whose window edges stress the binning table
