@@ -21,7 +21,7 @@ import sys
 
 from . import runner
 from .params import ConfigError, GuardError, SpdcLabError
-from .scenario import _ALL_KEYS, load_scenario, parse_scenario
+from .scenario import _ALL_KEYS, _parse_flat, _scenario_from, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,12 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _sweep_one(args_tuple):
     text, key, value, outdir, product = args_tuple
-    lines = [
-        line for line in text.splitlines()
-        if line.split("#", 1)[0].partition("=")[0].strip() != key
-    ]
-    lines.append(f"{key} = {value}")
-    scenario = parse_scenario("\n".join(lines))
+    scenario = _scenario_from({**_parse_flat(text), key: value})
     dest = os.path.join(outdir, f"{key.replace('.', '_')}={value}")
     _run_product(product, scenario, dest)
     return dest

@@ -55,7 +55,7 @@ __all__ = [
 
 
 #: reference events per counting chunk
-CHUNK_SIZE = 1 << 16
+CHUNK_SIZE = 1 << 14
 
 
 class RateEstimate(NamedTuple):

@@ -1,7 +1,7 @@
 """Unit-tagged containers for sampled curves, surfaces and count histograms."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -29,13 +29,6 @@ __all__ = [
     "read_curve_csv",
 ]
 
-_UNIT_SUFFIX = {
-    "dimensionless": "",
-    "per_s": "_per_s",
-    "per_s3": "_per_s3",
-}
-
-
 def _atomic_write(path, chunks) -> None:
     """Write an iterable of text chunks to ``path`` through ``path.tmp``.
 
@@ -54,15 +47,15 @@ def _atomic_write(path, chunks) -> None:
         raise
 
 
-def _write_lines(path, lines: list[str]) -> None:
-    _atomic_write(path, ("\n".join(lines), "\n"))
-
-
-def _rows(*columns) -> list[str]:
-    """CSV body lines, one per row; every value prints as ``repr`` of its
-    Python scalar (``tolist`` turns numpy floats into Python floats)."""
+def _write_table(path, header: list[str], names, *columns) -> None:
+    """Write ``header``, the column line of ``names`` and one row per
+    element of ``columns``.  A ``str`` field prints as is, every other field
+    as ``repr`` of its Python scalar (``tolist`` turns numpy numbers into
+    Python ones)."""
     cols = [np.asarray(c).tolist() for c in columns]
-    return [",".join(map(repr, row)) for row in zip(*cols)]
+    rows = [",".join(f if isinstance(f, str) else repr(f) for f in row)
+            for row in zip(*cols)]
+    _atomic_write(path, ("\n".join([*header, ",".join(names), *rows]), "\n"))
 
 
 def _header(scenario: Scenario | None) -> list[str]:
@@ -75,16 +68,11 @@ def write_curve_csv(
     path, delays, values, stderr=None, unit: str = "dimensionless",
     scenario: Scenario | None = None,
 ) -> None:
-    suffix = _UNIT_SUFFIX.get(unit, f"_{unit}")
-    lines = _header(scenario)
-    columns = [delays, values]
-    if stderr is None:
-        lines.append(f"delay_s,value{suffix}")
-    else:
-        lines.append(f"delay_s,value{suffix},stderr{suffix}")
-        columns.append(stderr)
-    lines += _rows(*(np.asarray(c, dtype=float) for c in columns))
-    _write_lines(path, lines)
+    suffix = "" if unit == "dimensionless" else f"_{unit}"
+    columns = [delays, values] if stderr is None else [delays, values, stderr]
+    names = ["delay_s", f"value{suffix}", f"stderr{suffix}"][: len(columns)]
+    _write_table(path, _header(scenario), names,
+                 *(np.asarray(c, dtype=float) for c in columns))
 
 
 def write_surface_csv(
@@ -98,7 +86,7 @@ def write_surface_csv(
     row is one ``(len(t2), 3)`` object array of those strings (t1 label,
     t2 label, value plus newline), filled by numpy and joined once.
     """
-    suffix = _UNIT_SUFFIX.get(surface.unit, f"_{surface.unit}")
+    suffix = "" if surface.unit == "dimensionless" else f"_{surface.unit}"
     lines = _header(scenario)
     lines.append(f"t1_s,t2_s,value{suffix}")
 
@@ -119,18 +107,27 @@ def write_surface_csv(
 
 
 def read_curve_csv(path):
-    """Read delays, values and (optionally) stderr back from a product."""
+    """Read delays, values and (optionally) stderr back from a product.
+
+    A row without a stderr field reads it as NaN.  A field that is not a
+    number raises ``SpdcLabError`` naming the file and line.
+    """
     delays, values, stderr = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or line.startswith("delay_s"):
                 continue
             parts = line.strip().split(",")
             if len(parts) < 2:
                 continue
-            delays.append(float(parts[0]))
-            values.append(float(parts[1]))
-            stderr.append(float(parts[2]) if len(parts) > 2 else np.nan)
+            try:
+                row = [float(part) for part in parts[:3]]
+            except ValueError:
+                raise SpdcLabError(f"{os.fspath(path)}: line {lineno}: "
+                                   f"{line.strip()!r} is not a row of numbers") from None
+            delays.append(row[0])
+            values.append(row[1])
+            stderr.append(row[2] if len(row) > 2 else np.nan)
     return np.array(delays), np.array(values), np.array(stderr)
 
 
@@ -192,14 +189,11 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
                     gbar.values, unit=gbar.unit, scenario=scenario)
 
     pred = smearing.predict_plateaus(src, kernel)
-    lines = _header(scenario)
-    lines.append("quantity,value")
-    lines.append(f"X,{pred.X!r}")
-    lines.append(f"g2si_plateau,{pred.g2si_plateau!r}")
-    lines.append(f"nssi_short_per_s3,{pred.nssi_short!r}")
-    lines.append(f"nssi_long_per_s3,{pred.nssi_long!r}")
-    lines.append(f"gbar2c_short,{pred.gbar2c_short!r}")
-    _write_lines(_product(out, outdir, "plateaus"), lines)
+    _write_table(
+        _product(out, outdir, "plateaus"), _header(scenario), ["quantity", "value"],
+        ["X", "g2si_plateau", "nssi_short_per_s3", "nssi_long_per_s3", "gbar2c_short"],
+        [pred.X, pred.g2si_plateau, pred.nssi_short, pred.nssi_long, pred.gbar2c_short],
+    )
 
     if with_surface:
         surface = smearing.smear_surface(
@@ -262,17 +256,12 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     )
     out = {}
 
-    lines = _header(scenario)
-    lines.append("channel,rate_per_s,stderr_per_s")
-    rows = _rows([r.value for r in rates.values()], [r.stderr for r in rates.values()])
-    lines += [f"{name},{row}" for name, row in zip(rates, rows)]
-    _write_lines(_product(out, outdir, "singles"), lines)
-
+    _write_table(_product(out, outdir, "singles"), _header(scenario),
+                 ["channel", "rate_per_s", "stderr_per_s"], list(rates),
+                 [r.value for r in rates.values()], [r.stderr for r in rates.values()])
     for name, hist in histograms.items():
-        lines = _header(scenario)
-        lines.append("delay_s,counts")
-        lines += _rows(hist.delays, hist.counts)
-        _write_lines(_product(out, outdir, name), lines)
+        _write_table(_product(out, outdir, name), _header(scenario),
+                     ["delay_s", "counts"], hist.delays, hist.counts)
 
     for name, est in (("g2bar_si", g2bar), ("gbar2_c", gbar2c)):
         write_curve_csv(_product(out, outdir, name), est.delays, est.values,
@@ -291,6 +280,12 @@ def run_compare(path_a, path_b, out_path=None) -> CompareResult:
     """Per-bin z-scores between two estimator CSVs sharing one grid."""
     da, va, ea = read_curve_csv(path_a)
     db, vb, eb = read_curve_csv(path_b)
+    for path, d, e in ((path_a, da, ea), (path_b, db, eb)):
+        if d.size == 0:
+            raise SpdcLabError(f"{os.fspath(path)}: no data rows")
+        if np.all(np.isnan(e)):
+            raise SpdcLabError(f"{os.fspath(path)}: no stderr value, "
+                               "so no z-score can be formed")
     if da.shape != db.shape or np.any(np.abs(da - db) > 1e-12 + 1e-9 * np.abs(da)):
         raise GridError("compare inputs must share one delay grid")
     denom = np.sqrt(ea**2 + eb**2)
@@ -298,8 +293,7 @@ def run_compare(path_a, path_b, out_path=None) -> CompareResult:
     finite = z[np.isfinite(z)]
     max_abs = float(np.max(np.abs(finite))) if finite.size else np.nan
     if out_path is not None:
-        lines = [f"# compare = {os.fspath(path_a)} vs {os.fspath(path_b)}",
-                 f"# max_abs_z = {max_abs!r}", "delay_s,z"]
-        lines += _rows(da, z)
-        _write_lines(out_path, lines)
+        header = [f"# compare = {os.fspath(path_a)} vs {os.fspath(path_b)}",
+                  f"# max_abs_z = {max_abs!r}"]
+        _write_table(out_path, header, ["delay_s", "z"], da, z)
     return CompareResult(da, z, max_abs)

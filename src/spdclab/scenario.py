@@ -115,7 +115,11 @@ def _get_float(values: dict[str, str], key: str) -> float:
 
 
 def parse_scenario(text: str) -> Scenario:
-    values = _parse_flat(text)
+    return _scenario_from(_parse_flat(text))
+
+
+def _scenario_from(values: dict[str, str]) -> Scenario:
+    """Validate the key-value pairs of one scenario and build it."""
     unknown = set(values) - set(_ALL_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")

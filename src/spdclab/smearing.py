@@ -25,7 +25,6 @@ import numpy as np
 from . import model
 from .curves import (
     UNIT_DIMENSIONLESS,
-    UNIT_PER_S,
     UNIT_PER_S3,
     CorrelationCurve,
     CorrelationSurface,
@@ -135,10 +134,7 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
         samples=np.empty(0),
         plateau_height=1.0 / (2.0 * a),
     )
-    cdf = kernel.cumulative(grid + grid_step / 2) - kernel.cumulative(
-        grid - grid_step / 2
-    )
-    samples = cdf / grid_step
+    samples = _cell_average(kernel.cumulative, grid, grid_step)
     samples /= samples.sum() * grid_step
     object.__setattr__(kernel, "samples", samples)
     return kernel

@@ -33,15 +33,22 @@ def brute_pair_counts(ta, tb, delays_s, tauc_s):
 
 
 def brute_triple_counts(ti, ts1, ts2, delays_s, tauc_s):
-    """Per-idler brute triple counts: gate occupancy times window occupancy."""
+    """Per-idler brute triple counts: gate occupancy times window occupancy.
+
+    Only signal2 differences within max|tau| + tau_c of an idler can fall in
+    any window, so each gated idler's differences are cut to that reach
+    once and every window is tested on the short vector.
+    """
     grid = np.rint(np.asarray(delays_s) * TICKS).astype(np.int64)
     tc = int(round(tauc_s * TICKS))
+    reach = int(np.max(np.abs(grid), initial=0)) + tc
     out = np.zeros(grid.size, dtype=np.int64)
     for t in ti:
         n1 = int(np.sum(np.abs(ts1 - t) <= tc))
         if n1 == 0:
             continue
         shifted = ts2 - t
+        shifted = shifted[np.abs(shifted) <= reach]
         for k, tau in enumerate(grid):
             out[k] += n1 * int(np.sum(np.abs(shifted - tau) <= tc))
     return out

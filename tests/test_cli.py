@@ -51,6 +51,21 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def non_curves(tmp_path_factory):
+    """Products and files that are not estimator curves, for ``compare``."""
+    root = tmp_path_factory.mktemp("non_curves")
+    config = root / "desk.ini"
+    config.write_text(DESK_CONFIG)
+    assert main(["smear", str(config), "-o", str(root)]) == 0
+    assert main(["simulate", str(config), "-o", str(root)]) == 0
+    assert main(["count", str(config), str(root / "events.evt"),
+                 "-o", str(root)]) == 0
+    (root / "not_a_number.csv").write_text("delay_s,value\n1e-9,abc\n")
+    (root / "empty.csv").write_text("")
+    return root
+
+
 class TestScenarioParsing:
     def test_parse_and_defaults(self):
         minimal = "\n".join(
@@ -263,6 +278,23 @@ class TestCliCommands:
         assert np.allclose(result.z, expected)
         assert result.max_abs_z == pytest.approx(abs(expected))
 
+    @pytest.mark.parametrize("name, message", [
+        ("singles.csv", "line "),
+        ("plateaus.csv", "line "),
+        ("not_a_number.csv", "line 2: "),
+        ("empty.csv", "no data rows"),
+        ("triples.csv", "no stderr value"),
+    ], ids=["singles", "plateaus", "not_a_number", "empty", "triples"])
+    def test_compare_rejects_non_curves(self, non_curves, tmp_path, capsys,
+                                        name, message):
+        path = str(non_curves / name)
+        out = tmp_path / "z.csv"
+        assert main(["compare", path, path, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_runs_each_value(self, config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main([
@@ -332,6 +364,18 @@ class TestCliCommands:
         assert started == [2]
         assert (out / "source_rate_hz=2e7" / "g2_si.csv").exists()
 
+    def test_sweep_duplicate_key(self, tmp_path, capsys):
+        config = tmp_path / "twice.ini"
+        config.write_text(DESK_CONFIG + "window.tauc_s = 4e-9\n")
+        out = tmp_path / "twice"
+        code = main([
+            "sweep", str(config), "--key", "window.tauc_s",
+            "--values", "5e-9", "-o", str(out), "analytic",
+        ])
+        assert code == 2
+        assert "duplicate key 'window.tauc_s'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_unknown_key(self, config_path, tmp_path, monkeypatch,
                                capsys):
         started = self._serial_pool(monkeypatch)
@@ -363,6 +407,15 @@ def test_readme_sweep_example(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / argv[1]).write_text(scenario)
     assert main(argv) == 0
+
+
+def test_readme_library_example(capsys):
+    """The README's library example runs and prints the plateaus it claims."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert "X=5.0" in printed and "g2si_plateau=6.0" in printed
 
 
 class TestSurfaceCsv:
