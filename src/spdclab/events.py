@@ -52,6 +52,9 @@ _SUB_ROUTE = 3
 _SUB_JITTER = 4
 _N_SUBSTREAMS = _SUB_JITTER + len(CHANNELS)
 
+#: refuse runs expected to hold more pairs than this (8 GB of pair times)
+MAX_PAIRS = 10**9
+
 
 def _substream(seed: int, index: int) -> np.random.Generator:
     children = np.random.SeedSequence(seed).spawn(_N_SUBSTREAMS)
@@ -109,6 +112,15 @@ class EventStream:
         return self.duration / TICKS_PER_SECOND
 
 
+def _check_pair_count(params: SourceParams, duration: float) -> None:
+    """``GuardError`` before any draw when R * duration exceeds ``MAX_PAIRS``."""
+    expected = params.pair_rate * duration
+    if not expected <= MAX_PAIRS:
+        raise GuardError(
+            f"run would hold {expected:.3g} pairs on average, guard is {MAX_PAIRS}"
+        )
+
+
 def _pairs_from_cell_draws(
     occupied: np.ndarray, counts: np.ndarray, dt: float, duration: float,
     rng: np.random.Generator,
@@ -135,6 +147,7 @@ def gen_thermal_cells(
         )
     if duration < 0:
         raise ValueError("duration must be >= 0")
+    _check_pair_count(params, duration)
     dt = params.coherence_time
     n_cells = int(np.ceil(duration / dt))
     rng = _substream(seed, _SUB_PAIRGEN)
@@ -170,6 +183,7 @@ def gen_poisson_pairs(
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
+    _check_pair_count(params, duration)
     rng = _substream(seed, _SUB_PAIRGEN)
     if duration == 0:
         return PairList(np.empty(0), duration)
@@ -191,8 +205,11 @@ def _to_stream(
     # keeps jitter past the run end from overflowing the int64 conversion
     ticks = seconds_to_ticks(np.clip(times, 0.0, duration))
     # same-tick events merge into one: np.unique by sort + adjacent mask,
-    # which avoids np.unique's much slower hash path for integers
-    ticks = np.sort(ticks)
+    # which avoids np.unique's much slower hash path for integers; the ticks
+    # are sorted but within one jitter width, and the stable sort (timsort
+    # for int64) runs on such input several times faster than the default
+    # introsort, with the same output for integers
+    ticks = np.sort(ticks, kind="stable")
     first = np.ones(ticks.size, dtype=bool)
     first[1:] = ticks[1:] != ticks[:-1]
     ticks = ticks[first]

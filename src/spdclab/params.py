@@ -22,6 +22,9 @@ SHAPES = ("box", "triangle")
 #: becomes questionable
 MU_WARN_THRESHOLD = 0.1
 
+#: refuse to build a delay grid of more points than this (80 MB of float64)
+MAX_GRID_POINTS = 10**7
+
 
 class SpdcLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -125,8 +128,22 @@ class AnalysisWindow:
 
     def delays(self):
         """Symmetric uniform delay grid covering [-span, span]."""
-        n = int(round(self.span / self.bin_width))
-        return np.arange(-n, n + 1) * self.bin_width
+        return symmetric_grid(np.rint(self.span / self.bin_width), self.bin_width)
+
+
+def symmetric_grid(n: float, step: float) -> np.ndarray:
+    """The grid ``arange(-n, n + 1) * step`` of a whole number ``n``.
+
+    ``n`` may be the float that ``ceil`` or ``rint`` of a span ratio gives,
+    infinite included: a grid of more than ``MAX_GRID_POINTS`` points raises
+    ``GuardError`` before anything is allocated.
+    """
+    if not 2 * n + 1 <= MAX_GRID_POINTS:
+        raise GuardError(
+            f"delay grid would have {2 * n + 1:.3g} points, guard is {MAX_GRID_POINTS}"
+        )
+    n = int(n)
+    return np.arange(-n, n + 1) * step
 
 
 def seconds_to_ticks(t):

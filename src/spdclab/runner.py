@@ -196,9 +196,7 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     )
 
     if with_surface:
-        surface = smearing.smear_surface(
-            smearing.sample_p_ssi(src, window.bin_width, half_span), kernel
-        )
+        surface = smearing.smear_surface(src, kernel, half_span)
         write_surface_csv(_product(out, outdir, "p_ssi_smeared"), surface, scenario)
     return out
 

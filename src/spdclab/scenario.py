@@ -15,7 +15,7 @@ configuration error.  Recognized keys:
     window.bin_s              delay grid step (s)
     window.span_s             maximum |delay| (s)
     run.duration_s            simulated acquisition time (s)
-    run.seed                  integer RNG seed        (default 1)
+    run.seed                  integer RNG seed >= 0   (default 1)
     run.model                 thermal | poisson       (default poisson)
 """
 from __future__ import annotations
@@ -131,6 +131,8 @@ def _scenario_from(values: dict[str, str]) -> Scenario:
         seed = int(merged["run.seed"])
     except ValueError as exc:
         raise ConfigError(f"run.seed: not an integer: {merged['run.seed']!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {seed}")
     source = SourceParams(
         pair_rate=_get_float(merged, "source.rate_hz"),
         coherence_time=_get_float(merged, "source.coherence_time_s"),

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
 from .curves import (
@@ -30,7 +31,7 @@ from .curves import (
     CorrelationSurface,
     _grid_index,
 )
-from .params import GridError, GuardError, SourceParams
+from .params import GridError, GuardError, SourceParams, symmetric_grid
 
 __all__ = [
     "ResponseKernel",
@@ -125,8 +126,7 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
         )
     a = max(tau_c, tau_d)
     b = min(tau_c, tau_d)
-    n = int(np.ceil((a + b) / grid_step + 0.5))
-    grid = np.arange(-n, n + 1) * grid_step
+    grid = symmetric_grid(np.ceil((a + b) / grid_step + 0.5), grid_step)
     kernel = ResponseKernel(
         coincidence_halfwidth=tau_c,
         jitter=tau_d,
@@ -165,34 +165,57 @@ def smear_curve(curve: CorrelationCurve, kernel: ResponseKernel) -> CorrelationC
 
 
 def smear_surface(
-    surface: CorrelationSurface, kernel: ResponseKernel
+    params: SourceParams, kernel: ResponseKernel, half_span: float
 ) -> CorrelationSurface:
-    """Separable two-pass smearing of a surface with the same 1D kernel.
+    """Triple-coincidence rate P(t1-ti, t2-ti) smeared by the square window.
 
-    Models the square two-dimensional averaging window (area (2 tau_c)^2
-    with transition regions 2 tau_d) acting on the triple-coincidence rate.
+    The result is the surface ``sample_p_ssi`` gives on the kernel grid over
+    ``half_span``, convolved with the kernel along both axes: the square
+    two-dimensional averaging window (area (2 tau_c)^2 with transition
+    regions 2 tau_d) acting on the triple rate.  Only the valid region is
+    kept, so the span must exceed the kernel support.  Each term of the rate
+    is smeared on its own: the constant R^3, the two signal-idler ridges and
+    the signal-signal diagonal with 1D convolutions, and only the small
+    central product block in 2D.  Outside the reach of the ridges and the
+    diagonal every cell is the constant R^3 (sum k h)^2, bit for bit.
     """
-    _check_step(surface.step, kernel)
+    h = kernel.grid_step
     k = kernel.samples
     m = kernel.half_len
-    n1, n2 = surface.values.shape
-    if min(n1, n2) <= k.size:
+    grid = _surface_grid(h, half_span)
+    n = grid.size
+    if n <= k.size:
         raise GridError("surface span must exceed the kernel support")
-    if surface.values.size > MAX_SURFACE_CELLS:
-        raise GuardError(
-            f"surface has {surface.values.size} cells, guard is {MAX_SURFACE_CELLS}"
-        )
-    step = surface.step
-    out0 = np.empty((n1 - 2 * m, n2))
-    for j in range(n2):
-        out0[:, j] = np.convolve(surface.values[:, j], k, mode="valid")
-    out = np.empty((n1 - 2 * m, n2 - 2 * m))
-    for i in range(out0.shape[0]):
-        out[i, :] = np.convolve(out0[i, :], k, mode="valid")
-    out *= step * step
-    return CorrelationSurface(
-        surface.t1[m : n1 - m], surface.t2[m : n2 - m], out, surface.unit
-    )
+    r = params.pair_rate
+    s = k.sum() * h
+    n_out = n - 2 * m
+
+    # ridges R C(t)^2, one axis each: the kernel along that axis, s across
+    c2 = _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, h)
+    ridge = r * s * (np.convolve(c2, k, mode="valid") * h)
+    values = np.add.outer(r**3 * s**2 + ridge, ridge)
+
+    # diagonal R R(t1 - t2)^2: cell averages by lag, which are exactly zero
+    # where the second antiderivative is linear, smeared by the kernel's
+    # autocorrelation; row i, column j of the result reads lag i - j
+    lags = np.arange(1 - n, n) * h
+    q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
+    a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
+    a[np.abs(lags) >= _support(params) + h] = 0.0
+    g = r * np.convolve(a, np.convolve(k, k) * h**2, mode="valid")
+    values += sliding_window_view(g[::-1], n_out)[::-1]
+
+    # central term: its nonzero block convolved in full with the kernel along
+    # both axes; full row w lands on output row w + start - 2m
+    start, block = _ccr_block(params, grid, h)
+    rows = np.array([np.convolve(row, k) for row in block])
+    centre = np.array([np.convolve(col, k) for col in rows.T]).T * h**2
+    at = start - 2 * m
+    lo, hi = max(0, -at), min(centre.shape[0], n_out - at)
+    values[at + lo : at + hi, at + lo : at + hi] += centre[lo:hi, lo:hi]
+
+    axis = grid[m : n - m]
+    return CorrelationSurface(axis, axis, values, UNIT_PER_S3)
 
 
 @dataclass(frozen=True)
@@ -233,10 +256,21 @@ def predict_plateaus(params: SourceParams, kernel: ResponseKernel) -> PlateauPre
 def _symmetric_grid(grid_step: float, half_span: float) -> np.ndarray:
     if grid_step <= 0:
         raise GridError("grid_step must be > 0")
-    n = int(np.ceil(half_span / grid_step))
+    n = np.ceil(half_span / grid_step)
     if n < 1:
         raise GridError("half_span must cover at least one grid step")
-    return np.arange(-n, n + 1) * grid_step
+    return symmetric_grid(n, grid_step)
+
+
+def _surface_grid(grid_step: float, half_span: float) -> np.ndarray:
+    """Axis of a square surface; ``GuardError`` before its cells exist."""
+    grid = _symmetric_grid(grid_step, half_span)
+    if grid.size * grid.size > MAX_SURFACE_CELLS:
+        raise GuardError(
+            f"requested surface would have {grid.size**2} cells, "
+            f"guard is {MAX_SURFACE_CELLS}"
+        )
+    return grid
 
 
 def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
@@ -260,29 +294,45 @@ def sample_g2_si(
     return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
 
 
-def _ccr_cell_averages(
+def _support(params: SourceParams) -> float:
+    """Half-width beyond which C and R vanish."""
+    dt = params.coherence_time
+    return dt if params.shape == "triangle" else dt / 2
+
+
+def _ccr_block(
     params: SourceParams, grid: np.ndarray, step: float
-) -> np.ndarray:
+) -> tuple[int, np.ndarray]:
     """Cell averages of the genuine triple term 2 C(a) C(b) R(a-b).
 
     The term lives on the tiny square |a|, |b| <= dt around the origin, so
-    only the few cells touching it are subsampled; everything else is zero.
+    only the few cells touching it are subsampled.  Returns the index of the
+    block's first row (and column) on ``grid`` and the square block; every
+    cell outside it is zero.
     """
     dt = params.coherence_time
-    support = dt if params.shape == "triangle" else dt / 2
     m = max(8, int(np.ceil(16 * step / dt)))
     offs = ((np.arange(m) + 0.5) / m - 0.5) * step
-    out = np.zeros((grid.size, grid.size))
-    idx = np.nonzero(np.abs(grid) <= support + step)[0]
-    cross = [model.cross_correlation(params, grid[i] + offs) for i in idx]
-    for i, ca in zip(idx, cross):
+    idx = np.nonzero(np.abs(grid) <= _support(params) + step)[0]
+    points = grid[idx, None] + offs  # subsample points of each cell
+    cross = model.cross_correlation(params, points)
+    out = np.zeros((idx.size, idx.size))
+    # one block row at a time: cell u against every cell v
+    for u, (pa, ca) in enumerate(zip(points, cross)):
         if not np.any(ca):
             continue
-        for j, cb in zip(idx, cross):
-            r12 = model.auto_correlation(
-                params, (grid[i] + offs)[:, None] - (grid[j] + offs)[None, :]
-            )
-            out[i, j] = 2.0 * np.mean(ca[:, None] * cb[None, :] * r12)
+        r12 = model.auto_correlation(params, pa[:, None] - points[:, None, :])
+        out[u] = 2.0 * np.mean(ca[:, None] * cross[:, None, :] * r12, axis=(1, 2))
+    return int(idx[0]), out
+
+
+def _ccr_cell_averages(
+    params: SourceParams, grid: np.ndarray, step: float
+) -> np.ndarray:
+    """The ``_ccr_block`` cell averages on the whole square ``grid``."""
+    start, block = _ccr_block(params, grid, step)
+    out = np.zeros((grid.size, grid.size))
+    out[start : start + block.shape[0], start : start + block.shape[0]] = block
     return out
 
 
@@ -295,12 +345,7 @@ def sample_p_ssi(
     stored as exact cell averages (so their integrals survive coarse grids);
     the narrow central product term is subsampled.
     """
-    grid = _symmetric_grid(grid_step, half_span)
-    if grid.size * grid.size > MAX_SURFACE_CELLS:
-        raise GuardError(
-            f"requested surface would have {grid.size**2} cells, "
-            f"guard is {MAX_SURFACE_CELLS}"
-        )
+    grid = _surface_grid(grid_step, half_span)
     r = params.pair_rate
     c2 = _cell_average(
         lambda t: model.cross_sq_cumulative(params, t), grid, grid_step

@@ -82,3 +82,25 @@ def raw_evt(*channels, magic=b"SPDCEVT1"):
         out.append(struct.pack("<BQQ", channel_id, len(ticks), duration))
         out.append(np.asarray(ticks, dtype="<u8").tobytes())
     return b"".join(out)
+
+
+def dense_smear_surface(surface, kernel):
+    """Separable two-pass smearing of a sampled surface: one ``np.convolve``
+    per column, then one per row (valid region)."""
+    from spdclab import CorrelationSurface, GridError
+
+    if abs(surface.step - kernel.grid_step) > 1e-9 * kernel.grid_step:
+        raise GridError(f"grid step {surface.step:g} differs from the kernel "
+                        f"grid {kernel.grid_step:g}")
+    k = kernel.samples
+    m = kernel.half_len
+    n1, n2 = surface.values.shape
+    cols = np.empty((n1 - 2 * m, n2))
+    for j in range(n2):
+        cols[:, j] = np.convolve(surface.values[:, j], k, mode="valid")
+    out = np.empty((n1 - 2 * m, n2 - 2 * m))
+    for i in range(cols.shape[0]):
+        out[i, :] = np.convolve(cols[i, :], k, mode="valid")
+    out *= surface.step * surface.step
+    return CorrelationSurface(surface.t1[m:n1 - m], surface.t2[m:n2 - m], out,
+                              surface.unit)

@@ -237,6 +237,32 @@ class TestCliCommands:
         assert f"{key}: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "source.rate_hz", "1e30"),
+        ("analytic", "window.bin_s", "1e-30"),
+        ("smear", "window.bin_s", "1e-30"),
+        ("count", "window.bin_s", "1e-30"),
+        ("analytic", "window.span_s", "1e30"),
+        ("smear", "window.span_s", "1e30"),
+        ("simulate", "run.seed", "-1"),
+    ])
+    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command, key,
+                                         value):
+        import warnings
+
+        config = tmp_path / "extreme.ini"
+        config.write_text(re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}",
+                                 DESK_CONFIG, flags=re.M))
+        evt = tmp_path / "ok.evt"
+        evt.write_bytes(raw_evt((0, 10**12, [5]), (1, 10**12, [1]), (2, 10**12, [2])))
+        args = [command, str(config), *([str(evt)] if command == "count" else []),
+                "-o", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mu >= 0.1 at 1e30 pairs/s
+            code = main(args)
+        assert code in (2, 3)
+        assert capsys.readouterr().err.startswith(("config error: ", "guard tripped: "))
+
     @pytest.mark.parametrize("duration", ["1e4", "1e5"])
     def test_duration_beyond_int64_ticks(self, tmp_path, capsys, duration):
         config = tmp_path / "long.ini"

@@ -3,6 +3,7 @@ import pytest
 
 from spdclab import (
     GridError,
+    GuardError,
     SourceParams,
     build_kernel,
     gbar2c_analytic,
@@ -15,7 +16,7 @@ from spdclab import (
 from spdclab import model, smearing
 from spdclab.curves import CorrelationCurve
 
-from _oracles import numeric_smear
+from _oracles import dense_smear_surface, numeric_smear
 
 
 class TestBuildKernel:
@@ -121,8 +122,11 @@ class TestSmearCurve:
         k = build_kernel(5e-9, 1e-9, 5e-11)
         with pytest.raises(GridError, match="kernel grid"):
             smear_curve(sample_g2_si(p, 2.5e-11, 2e-8), k)
+        # smear_surface samples on the kernel grid itself; the dense oracle
+        # it is checked against refuses a surface on another grid
         with pytest.raises(GridError, match="kernel grid"):
-            smear_surface(sample_p_ssi(p, 2.5e-11, 3e-9), build_kernel(1e-9, 0.0, 5e-11))
+            dense_smear_surface(sample_p_ssi(p, 2.5e-11, 3e-9),
+                                build_kernel(1e-9, 0.0, 5e-11))
 
     def test_rejects_coarser_curve(self):
         p = SourceParams(2e7, 1e-9)
@@ -178,7 +182,7 @@ class TestSmearSurface:
         tauc, taud = 100 * dt, 25 * dt
         step = dt
         k = build_kernel(tauc, taud, step)
-        sm = smear_surface(sample_p_ssi(p, step, 390 * dt), k)
+        sm = smear_surface(p, k, 390 * dt)
         r3 = rate**3
         x = k.plateau_height / rate
         far = sm.value_at(255 * dt, -255 * dt)
@@ -196,15 +200,69 @@ class TestSmearSurface:
         p = SourceParams(1e6, 1e-9)
         dt = p.coherence_time
         k = build_kernel(20 * dt, 4 * dt, dt / 5)
-        sm = smear_surface(sample_p_ssi(p, dt / 5, 60 * dt), k)
+        sm = smear_surface(p, k, 60 * dt)
         assert np.allclose(sm.values, sm.values.T, rtol=1e-12)
 
     def test_memory_guard(self):
-        from spdclab import GuardError
-
         p = SourceParams(1e6, 1e-9)
         with pytest.raises(GuardError):
             sample_p_ssi(p, 1e-12, 1e-5)
+
+    def test_memory_guard_before_allocation(self):
+        import tracemalloc
+
+        p = SourceParams(1e6, 1e-9)
+        k = build_kernel(1e-9, 0.0, 5e-11)
+        # 12001 grid points: 1.44e8 cells, 1.15 GB of float64
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="cells"):
+                smear_surface(p, k, 6000 * 5e-11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_rejects_span_within_kernel_support(self):
+        p = SourceParams(2e7, 1e-9)
+        k = build_kernel(5e-9, 1e-9, 5e-11)  # 243 samples
+        with pytest.raises(GridError, match="kernel support"):
+            smear_surface(p, k, 6e-9)  # 241 grid points
+
+    @pytest.mark.parametrize("shape, tauc, taud, step, half_span", [
+        ("box", 5e-9, 1e-9, 5e-11, 2.605e-8),  # README desk: 1043^2 cells
+        *[(shape, *case) for shape in ("box", "triangle") for case in (
+            (5e-9, 1e-9, 5e-11, 1.2e-8),
+            (5e-9, 0.0, 1e-10, 1.2e-8),
+            (4e-8, 2e-8, 1e-9, 1.2e-7),  # step = dt
+            (4e-8, 0.0, 2e-9, 1.5e-7),  # step > dt
+        )],
+    ])
+    def test_matches_dense_oracle(self, shape, tauc, taud, step, half_span):
+        p = SourceParams(2e7, 1e-9, shape)
+        k = build_kernel(tauc, taud, step)
+        sm = smear_surface(p, k, half_span)
+        ref = dense_smear_surface(sample_p_ssi(p, step, half_span), k)
+        assert np.array_equal(sm.t1, ref.t1) and np.array_equal(sm.t2, ref.t2)
+        assert sm.unit == ref.unit
+        assert np.max(np.abs(sm.values - ref.values) / np.abs(ref.values)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_far_cells_equal_far_corner(self, shape):
+        p = SourceParams(2e7, 1e-9, shape)
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        sm = smear_surface(p, k, 2.5e-8)
+        a = sm.t1[:, None]
+        b = sm.t2[None, :]
+        # the ridges reach the peak support plus the kernel support from
+        # their axis, the diagonal that plus twice the kernel support
+        reach = 2 * p.coherence_time + k.support_halfwidth
+        far = ((np.abs(a) > reach) & (np.abs(b) > reach)
+               & (np.abs(a - b) > reach + k.support_halfwidth))
+        assert np.count_nonzero(far) > sm.values.size // 10
+        corner = sm.values[-1, 0]
+        assert far[-1, 0]
+        assert np.all(sm.values[far].view(np.int64) == corner.view(np.int64))
 
 
 class TestGbar2cAnalytic:
@@ -215,8 +273,7 @@ class TestGbar2cAnalytic:
         taus = np.arange(-240, 241) * step  # out to 12 ns
         curve = gbar2c_analytic(p, k, taus)
 
-        surface = sample_p_ssi(p, step, 2.0e-8)
-        sm = smear_surface(surface, k)
+        sm = smear_surface(p, k, 2.0e-8)
         i0 = np.argmin(np.abs(sm.t1))
         slice_vals = sm.values[i0, :]
         g2_sm = smear_curve(sample_g2_si(p, step, 2.0e-8), k)
