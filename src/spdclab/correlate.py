@@ -41,7 +41,7 @@ import numpy as np
 
 from .curves import Histogram, EstimatorCurve
 from .events import EventStream
-from .params import seconds_to_ticks
+from .params import TICKS_PER_SECOND, ConfigError, seconds_to_ticks
 
 __all__ = [
     "RateEstimate",
@@ -87,7 +87,20 @@ def _ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _window_bounds(delays: np.ndarray, tauc: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive lower and exclusive upper tick bounds of every centred window."""
+    """Inclusive lower and exclusive upper tick bounds of every centred window.
+
+    ``ConfigError`` unless max|delay| + tauc stays below 2**62 ticks, which
+    leaves room in an int64 for every bound and for the differences
+    between them.
+    """
+    if tauc <= 0:
+        raise ValueError("tauc must be positive")
+    reach = float(np.max(np.abs(delays), initial=0.0)) + tauc
+    if not reach * TICKS_PER_SECOND < 2.0**62:
+        raise ConfigError(
+            f"window reach max|delay| + tau_c = {reach:g} s exceeds "
+            f"{2**62 / TICKS_PER_SECOND:.6g} s of int64 femtosecond ticks"
+        )
     grid, tc = seconds_to_ticks(delays), seconds_to_ticks(tauc)
     return grid - tc, grid + tc + 1
 
@@ -220,11 +233,9 @@ def pair_histogram(
 
     ``chunk_size`` reference events of ``a`` are counted at a time.
     """
-    if tauc <= 0:
-        raise ValueError("tauc must be positive")
-    duration = _common_duration(a, b)
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
+    duration = _common_duration(a, b)
     (counts,) = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs,
                                     chunk_size)
     return Histogram(delays, counts, duration, tauc)
@@ -268,11 +279,9 @@ def coincidence_histograms(
     for the triples, each weighted by its idler's occupancy.  ``chunk_size``
     reference events are counted at a time.
     """
-    if tauc <= 0:
-        raise ValueError("tauc must be positive")
-    duration = _common_duration(i, s1, s2)
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
+    duration = _common_duration(i, s1, s2)
     tc = seconds_to_ticks(tauc)
     n1 = np.zeros(len(i), dtype=np.int64)
     pairs_s1 = _edge_binned_counts(

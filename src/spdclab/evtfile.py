@@ -18,11 +18,9 @@ Writes go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import struct
-import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -33,11 +31,29 @@ __all__ = ["write_events", "read_events", "EvtFormatError", "MAGIC"]
 
 MAGIC = b"SPDCEVT1"
 
-logger = logging.getLogger(__name__)
-
 
 class EvtFormatError(SpdcLabError):
     """Corrupt, truncated or foreign .evt content."""
+
+
+def _atomic_write(path, chunks: Iterable, binary: bool = False) -> None:
+    """Write an iterable of text chunks (bytes-like ones if ``binary``) to
+    ``path`` through ``path.tmp``.
+
+    The temporary file replaces ``path`` only once every chunk is written;
+    if producing or writing a chunk raises, it is removed instead and an
+    existing ``path`` is left untouched.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_events(streams: Sequence[EventStream], path) -> None:
@@ -46,28 +62,18 @@ def write_events(streams: Sequence[EventStream], path) -> None:
     If the write raises, the temporary file is removed and an existing
     ``path`` is left untouched.
     """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(streams)))
-            for stream in streams:
-                fh.write(
-                    struct.pack(
-                        "<BQQ",
-                        CHANNELS.index(stream.channel),
-                        len(stream),
-                        stream.duration,
-                    )
-                )
-                # non-negative int64 ticks have the bytes of their u64 values
-                fh.write(np.ascontiguousarray(stream.timestamps, dtype="<i8"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+
+    def chunks():
+        yield MAGIC
+        yield struct.pack("<I", len(streams))
+        for stream in streams:
+            yield struct.pack(
+                "<BQQ", CHANNELS.index(stream.channel), len(stream), stream.duration
+            )
+            # non-negative int64 ticks have the bytes of their u64 values
+            yield np.ascontiguousarray(stream.timestamps, dtype="<i8")
+
+    _atomic_write(path, chunks(), binary=True)
 
 
 def read_events(path) -> list[EventStream]:
@@ -79,7 +85,6 @@ def read_events(path) -> list[EventStream]:
     one shared, positive duration, raises ``EvtFormatError``.
     """
     path = os.fspath(path)
-    started = time.perf_counter()
     streams: list[EventStream] = []
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -128,10 +133,4 @@ def read_events(path) -> list[EventStream]:
         )
     if 0 in durations:
         raise EvtFormatError(f"{path}: declares a zero duration")
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        logger.debug(
-            "read %s: %.1f MB in %.3f s (%.0f MB/s)",
-            path, size / 1e6, elapsed, size / 1e6 / elapsed,
-        )
     return streams

@@ -7,7 +7,6 @@ carry units; dimensionless columns are plain ``value``/``stderr``.
 """
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
 from .curves import CorrelationSurface, _grid_index
+from .evtfile import _atomic_write
 from .params import GridError, SpdcLabError
 from .scenario import Scenario
 
@@ -28,23 +28,6 @@ __all__ = [
     "write_curve_csv",
     "read_curve_csv",
 ]
-
-def _atomic_write(path, chunks) -> None:
-    """Write an iterable of text chunks to ``path`` through ``path.tmp``.
-
-    The temporary file replaces ``path`` only once every chunk is written;
-    if producing or writing a chunk raises, it is removed instead.
-    """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def _write_table(path, header: list[str], names, *columns) -> None:

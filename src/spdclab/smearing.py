@@ -42,16 +42,12 @@ __all__ = [
     "predict_plateaus",
     "gbar2c_analytic",
     "sample_g2_si",
-    "sample_p_ssi",
 ]
 
 #: refuse to allocate smeared surfaces beyond this cell count
 MAX_SURFACE_CELLS = 10**8
 
 _STEP_TOL = 1e-9
-
-#: rows of the triple surface sampled per block in ``sample_p_ssi``
-_SURFACE_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -169,21 +165,30 @@ def smear_surface(
 ) -> CorrelationSurface:
     """Triple-coincidence rate P(t1-ti, t2-ti) smeared by the square window.
 
-    The result is the surface ``sample_p_ssi`` gives on the kernel grid over
-    ``half_span``, convolved with the kernel along both axes: the square
+    The rate is stored as cell averages on the kernel grid over
+    ``half_span``: the constant R^3, the two signal-idler ridges R C(t)^2
+    and the signal-signal diagonal R R(t1 - t2)^2 as exact differences of
+    their antiderivatives, the narrow central term 2 R C C R subsampled.
+    That surface is convolved with the kernel along both axes: the square
     two-dimensional averaging window (area (2 tau_c)^2 with transition
     regions 2 tau_d) acting on the triple rate.  Only the valid region is
-    kept, so the span must exceed the kernel support.  Each term of the rate
-    is smeared on its own: the constant R^3, the two signal-idler ridges and
-    the signal-signal diagonal with 1D convolutions, and only the small
-    central product block in 2D.  Outside the reach of the ridges and the
-    diagonal every cell is the constant R^3 (sum k h)^2, bit for bit.
+    kept, so the span must exceed the kernel support, and a surface beyond
+    ``MAX_SURFACE_CELLS`` raises ``GuardError`` before its cells exist.
+
+    Each term is smeared on its own: the constant and the ridges with 1D
+    convolutions, the diagonal by lag, and only the small central block in
+    2D.  Outside the reach of the ridges and the diagonal every cell is the
+    constant R^3 (sum k h)^2, bit for bit.
     """
     h = kernel.grid_step
     k = kernel.samples
     m = kernel.half_len
-    grid = _surface_grid(h, half_span)
+    grid = _symmetric_grid(h, half_span)
     n = grid.size
+    if n * n > MAX_SURFACE_CELLS:
+        raise GuardError(
+            f"requested surface would have {n**2} cells, guard is {MAX_SURFACE_CELLS}"
+        )
     if n <= k.size:
         raise GridError("surface span must exceed the kernel support")
     r = params.pair_rate
@@ -191,7 +196,7 @@ def smear_surface(
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
-    c2 = _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, h)
+    c2 = _c2_cells(params, grid, h)
     ridge = r * s * (np.convolve(c2, k, mode="valid") * h)
     values = np.add.outer(r**3 * s**2 + ridge, ridge)
 
@@ -262,19 +267,13 @@ def _symmetric_grid(grid_step: float, half_span: float) -> np.ndarray:
     return symmetric_grid(n, grid_step)
 
 
-def _surface_grid(grid_step: float, half_span: float) -> np.ndarray:
-    """Axis of a square surface; ``GuardError`` before its cells exist."""
-    grid = _symmetric_grid(grid_step, half_span)
-    if grid.size * grid.size > MAX_SURFACE_CELLS:
-        raise GuardError(
-            f"requested surface would have {grid.size**2} cells, "
-            f"guard is {MAX_SURFACE_CELLS}"
-        )
-    return grid
-
-
 def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
     return (cumulative(grid + step / 2) - cumulative(grid - step / 2)) / step
+
+
+def _c2_cells(params: SourceParams, grid: np.ndarray, step: float) -> np.ndarray:
+    """Cell averages of C(t)^2, the signal-idler excess times R^2."""
+    return _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, step)
 
 
 def sample_g2_si(
@@ -287,10 +286,7 @@ def sample_g2_si(
     of the same weight, which is all a much wider response window can see.
     """
     grid = _symmetric_grid(grid_step, half_span)
-    excess = _cell_average(
-        lambda t: model.cross_sq_cumulative(params, t), grid, grid_step
-    )
-    values = 1.0 + excess / params.pair_rate**2
+    values = 1.0 + _c2_cells(params, grid, grid_step) / params.pair_rate**2
     return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
 
 
@@ -326,49 +322,6 @@ def _ccr_block(
     return int(idx[0]), out
 
 
-def _ccr_cell_averages(
-    params: SourceParams, grid: np.ndarray, step: float
-) -> np.ndarray:
-    """The ``_ccr_block`` cell averages on the whole square ``grid``."""
-    start, block = _ccr_block(params, grid, step)
-    out = np.zeros((grid.size, grid.size))
-    out[start : start + block.shape[0], start : start + block.shape[0]] = block
-    return out
-
-
-def sample_p_ssi(
-    params: SourceParams, grid_step: float, half_span: float
-) -> CorrelationSurface:
-    """Sample the triple-coincidence rate P(t1-ti, t2-ti) on a square grid.
-
-    The two signal-idler ridges and the diagonal signal-signal ridge are
-    stored as exact cell averages (so their integrals survive coarse grids);
-    the narrow central product term is subsampled.
-    """
-    grid = _surface_grid(grid_step, half_span)
-    r = params.pair_rate
-    c2 = _cell_average(
-        lambda t: model.cross_sq_cumulative(params, t), grid, grid_step
-    )
-    q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
-    values = _ccr_cell_averages(params, grid, grid_step)
-    # a block of rows at a time keeps the temporaries cache-sized; each cell
-    # goes through the same operations in the same order as a full matrix
-    for start in range(0, grid.size, _SURFACE_ROW_BLOCK):
-        rows = slice(start, start + _SURFACE_ROW_BLOCK)
-        diff = grid[rows, None] - grid[None, :]
-        auto_sq_cells = (
-            q2(diff + grid_step) - 2.0 * q2(diff) + q2(diff - grid_step)
-        ) / grid_step**2
-        values[rows] = (
-            r**3
-            + r * (c2[rows, None] + c2[None, :])
-            + r * auto_sq_cells
-            + values[rows]
-        )
-    return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
-
-
 # ---------------------------------------------------------------------------
 # Analytic window-averaged conditioned coherence.
 # ---------------------------------------------------------------------------
@@ -398,9 +351,7 @@ def gbar2c_analytic(
     half_len = (grid.size - 1) // 2
 
     # smeared g2_si excess e(tau) on the internal grid
-    excess = _cell_average(
-        lambda t: model.cross_sq_cumulative(params, t), grid, h
-    ) / r**2
+    excess = _c2_cells(params, grid, h) / r**2
     e = np.convolve(excess, k, mode="same") * h
 
     # diagonal ridge: cell weights of (R(u)/R)^2 convolved with the kernel

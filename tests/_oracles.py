@@ -84,6 +84,29 @@ def raw_evt(*channels, magic=b"SPDCEVT1"):
     return b"".join(out)
 
 
+def dense_p_ssi(params, step, half_span):
+    """Triple rate P(t1-ti, t2-ti) as cell averages on the full square grid,
+    one matrix expression over every cell: the constant, the two
+    signal-idler ridges and the signal-signal diagonal from their exact
+    antiderivatives, the central term from the library's subsampled block."""
+    from spdclab import model, smearing
+    from spdclab.curves import UNIT_PER_S3, CorrelationSurface
+    from spdclab.params import symmetric_grid
+
+    grid = symmetric_grid(np.ceil(half_span / step), step)
+    r = params.pair_rate
+    c2 = smearing._cell_average(
+        lambda t: model.cross_sq_cumulative(params, t), grid, step)
+    diff = grid[:, None] - grid[None, :]
+    q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
+    auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
+    ccr = np.zeros((grid.size, grid.size))
+    start, block = smearing._ccr_block(params, grid, step)
+    ccr[start : start + block.shape[0], start : start + block.shape[0]] = block
+    values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
+    return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
+
+
 def dense_smear_surface(surface, kernel):
     """Separable two-pass smearing of a sampled surface: one ``np.convolve``
     per column, then one per row (valid region)."""

@@ -237,22 +237,33 @@ class TestCliCommands:
         assert f"{key}: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key, value", [
-        ("simulate", "source.rate_hz", "1e30"),
-        ("analytic", "window.bin_s", "1e-30"),
-        ("smear", "window.bin_s", "1e-30"),
-        ("count", "window.bin_s", "1e-30"),
-        ("analytic", "window.span_s", "1e30"),
-        ("smear", "window.span_s", "1e30"),
-        ("simulate", "run.seed", "-1"),
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param(command, overrides, id="-".join(
+            [command, *(f"{k}-{v}" for k, v in overrides.items())]))
+        for command, overrides in [
+            ("simulate", {"source.rate_hz": "1e30"}),
+            ("analytic", {"window.bin_s": "1e-30"}),
+            ("smear", {"window.bin_s": "1e-30"}),
+            ("count", {"window.bin_s": "1e-30"}),
+            ("analytic", {"window.span_s": "1e30"}),
+            ("smear", {"window.span_s": "1e30"}),
+            ("simulate", {"run.seed": "-1"}),
+            # delays or the window reach past int64 femtosecond ticks
+            ("count", {"window.span_s": "1e4", "window.bin_s": "1e3"}),
+            ("count", {"window.tauc_s": "1e4", "window.span_s": "3e4",
+                       "window.bin_s": "1e3"}),
+        ]
     ])
-    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command, key,
-                                         value):
+    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command,
+                                         overrides):
         import warnings
 
+        text = DESK_CONFIG
+        for key, value in overrides.items():
+            text = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text,
+                          flags=re.M)
         config = tmp_path / "extreme.ini"
-        config.write_text(re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}",
-                                 DESK_CONFIG, flags=re.M))
+        config.write_text(text)
         evt = tmp_path / "ok.evt"
         evt.write_bytes(raw_evt((0, 10**12, [5]), (1, 10**12, [1]), (2, 10**12, [2])))
         args = [command, str(config), *([str(evt)] if command == "count" else []),

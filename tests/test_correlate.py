@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
+    ConfigError,
     CorrelationSurface,
     DetectorChain,
     EstimatorCurve,
@@ -136,6 +137,13 @@ class TestPairHistogram:
         b = poisson_stream("idler", 1e6, 2e-4, 36)
         with pytest.raises(ValueError):
             pair_histogram(a, b, np.array([0.0]), 1e-9)
+
+    def test_rejects_delay_beyond_tick_range(self):
+        a = poisson_stream("signal1", 1e6, 1e-4, 39)
+        b = poisson_stream("idler", 1e6, 1e-4, 40)
+        # 1e4 s is 1e19 fs, past the largest int64
+        with pytest.raises(ConfigError, match="int64"):
+            pair_histogram(a, b, np.array([-1e4, 0.0, 1e4]), 1e-9)
 
 
 class TestTripleHistogram:

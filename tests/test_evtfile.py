@@ -12,7 +12,7 @@ from spdclab import (
     read_events,
     write_events,
 )
-from spdclab.evtfile import MAGIC, EvtFormatError
+from spdclab.evtfile import MAGIC, EvtFormatError, _atomic_write
 
 from _oracles import raw_evt
 
@@ -136,3 +136,21 @@ def test_failed_write_leaves_no_tmp(tmp_path):
         write_events([streams[0], huge], path)
     assert not (tmp_path / "run.evt.tmp").exists()
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("binary, old, first", [
+    (False, "old text\n", "new text\n"),
+    (True, b"old bytes", b"new bytes"),
+])
+def test_atomic_write_failure_keeps_existing_file(tmp_path, binary, old, first):
+    path = tmp_path / "product"
+    _atomic_write(path, [old], binary=binary)
+
+    def chunks():
+        yield first
+        raise RuntimeError("chunk generator failed")
+
+    with pytest.raises(RuntimeError, match="generator"):
+        _atomic_write(path, chunks(), binary=binary)
+    assert not (tmp_path / "product.tmp").exists()
+    assert (path.read_bytes() if binary else path.read_text(encoding="utf-8")) == old

@@ -9,14 +9,13 @@ from spdclab import (
     gbar2c_analytic,
     predict_plateaus,
     sample_g2_si,
-    sample_p_ssi,
     smear_curve,
     smear_surface,
 )
-from spdclab import model, smearing
+from spdclab import model
 from spdclab.curves import CorrelationCurve
 
-from _oracles import dense_smear_surface, numeric_smear
+from _oracles import dense_p_ssi, dense_smear_surface, numeric_smear
 
 
 class TestBuildKernel:
@@ -125,7 +124,7 @@ class TestSmearCurve:
         # smear_surface samples on the kernel grid itself; the dense oracle
         # it is checked against refuses a surface on another grid
         with pytest.raises(GridError, match="kernel grid"):
-            dense_smear_surface(sample_p_ssi(p, 2.5e-11, 3e-9),
+            dense_smear_surface(dense_p_ssi(p, 2.5e-11, 3e-9),
                                 build_kernel(1e-9, 0.0, 5e-11))
 
     def test_rejects_coarser_curve(self):
@@ -203,11 +202,6 @@ class TestSmearSurface:
         sm = smear_surface(p, k, 60 * dt)
         assert np.allclose(sm.values, sm.values.T, rtol=1e-12)
 
-    def test_memory_guard(self):
-        p = SourceParams(1e6, 1e-9)
-        with pytest.raises(GuardError):
-            sample_p_ssi(p, 1e-12, 1e-5)
-
     def test_memory_guard_before_allocation(self):
         import tracemalloc
 
@@ -242,7 +236,7 @@ class TestSmearSurface:
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(tauc, taud, step)
         sm = smear_surface(p, k, half_span)
-        ref = dense_smear_surface(sample_p_ssi(p, step, half_span), k)
+        ref = dense_smear_surface(dense_p_ssi(p, step, half_span), k)
         assert np.array_equal(sm.t1, ref.t1) and np.array_equal(sm.t2, ref.t2)
         assert sm.unit == ref.unit
         assert np.max(np.abs(sm.values - ref.values) / np.abs(ref.values)) <= 1e-12
@@ -340,7 +334,7 @@ class TestSamplers:
 
         p = SourceParams(2e7, 1e-9)
         dt = p.coherence_time
-        surf = sample_p_ssi(p, dt / 200, 2.5 * dt)
+        surf = dense_p_ssi(p, dt / 200, 2.5 * dt)
         a = surf.t1[:, None]
         b = surf.t2[None, :]
         exact = p_ssi(p, a, b, 0.0)
@@ -352,26 +346,3 @@ class TestSamplers:
         )
         rel = np.abs(surf.values - exact) / exact
         assert np.max(rel[interior]) < 2e-2
-
-    @pytest.mark.parametrize("shape", ["box", "triangle"])
-    def test_p_ssi_row_blocks_match_full_matrix(self, shape):
-        p = SourceParams(2e7, 1e-9, shape)
-        step, half_span = p.coherence_time / 20, 5 * p.coherence_time
-        surf = sample_p_ssi(p, step, half_span)
-        # the full-matrix formula, one expression over every cell
-        grid = surf.t1
-        assert grid.size > smearing._SURFACE_ROW_BLOCK
-        assert grid.size % smearing._SURFACE_ROW_BLOCK
-        r = p.pair_rate
-        c2 = smearing._cell_average(
-            lambda t: model.cross_sq_cumulative(p, t), grid, step)
-        diff = grid[:, None] - grid[None, :]
-        q2 = lambda t: model.auto_sq_antider2(p, t)  # noqa: E731
-        auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
-        full = (
-            r**3
-            + r * (c2[:, None] + c2[None, :])
-            + r * auto_sq_cells
-            + smearing._ccr_cell_averages(p, grid, step)
-        )
-        assert np.array_equal(surf.values.view(np.int64), full.view(np.int64))
