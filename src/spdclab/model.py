@@ -41,7 +41,6 @@ __all__ = [
     "g2_c",
     "limit_ratios",
     "cross_sq_cumulative",
-    "auto_sq_cumulative",
     "auto_sq_antider2",
 ]
 
@@ -198,20 +197,6 @@ def cross_sq_cumulative(params: SourceParams, tau):
         neg = (r / dt) * np.square(u + dt) / (2 * dt)
         pos = r / 2 + (r / dt) * (u - np.square(u) / (2 * dt))
         out = np.where(u <= 0, neg, pos)
-    return out if out.ndim else float(out)
-
-
-def auto_sq_cumulative(params: SourceParams, tau):
-    """Running integral of R(u)^2 from -inf to tau."""
-    tau = np.asarray(tau, dtype=float)
-    r, dt = params.pair_rate, params.coherence_time
-    if params.shape == "box":
-        out = r**2 * (np.clip(tau, -dt / 2, dt / 2) + dt / 2)
-    else:
-        # R(u)^2 = r^2 (1 - |u|/dt)^2 on [-dt, dt]; odd-symmetric primitive
-        u = np.clip(tau, -dt, dt)
-        from_zero = (dt / 3) * (1.0 - (1.0 - np.abs(u) / dt) ** 3)
-        out = r**2 * (dt / 3 + np.sign(u) * from_zero)
     return out if out.ndim else float(out)
 
 

@@ -47,6 +47,9 @@ __all__ = [
 #: refuse to allocate smeared surfaces beyond this cell count
 MAX_SURFACE_CELLS = 10**8
 
+#: refuse a smearing convolution beyond this many multiply-adds
+MAX_CONVOLVE_WORK = 10**10
+
 _STEP_TOL = 1e-9
 
 
@@ -155,7 +158,7 @@ def smear_curve(curve: CorrelationCurve, kernel: ResponseKernel) -> CorrelationC
     k = kernel.samples
     if curve.values.size <= k.size:
         raise GridError("curve span must exceed the kernel support")
-    values = np.convolve(curve.values, k, mode="valid") * curve.step
+    values = _convolve(curve.values, k, "valid") * curve.step
     m = kernel.half_len
     return CorrelationCurve(curve.delays[m : curve.delays.size - m], values, curve.unit)
 
@@ -181,7 +184,6 @@ def smear_surface(
     constant R^3 (sum k h)^2, bit for bit.
     """
     h = kernel.grid_step
-    k = kernel.samples
     m = kernel.half_len
     grid = _symmetric_grid(h, half_span)
     n = grid.size
@@ -189,6 +191,23 @@ def smear_surface(
         raise GuardError(
             f"requested surface would have {n**2} cells, guard is {MAX_SURFACE_CELLS}"
         )
+    values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
+    axis = grid[m : n - m]
+    return CorrelationSurface(axis, axis, values, UNIT_PER_S3)
+
+
+def _smeared_rows(
+    params: SourceParams, kernel: ResponseKernel, grid: np.ndarray, rows: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output rows ``rows`` (t1 on the valid region of ``grid``, all t2) of
+    the smeared triple rate, and the cell averages of C(t)^2 smeared once.
+
+    Memory is O(n) plus the rows asked for and the central block.
+    """
+    h = kernel.grid_step
+    k = kernel.samples
+    m = kernel.half_len
+    n = grid.size
     if n <= k.size:
         raise GridError("surface span must exceed the kernel support")
     r = params.pair_rate
@@ -196,9 +215,9 @@ def smear_surface(
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
-    c2 = _c2_cells(params, grid, h)
-    ridge = r * s * (np.convolve(c2, k, mode="valid") * h)
-    values = np.add.outer(r**3 * s**2 + ridge, ridge)
+    c2_sm = _convolve(_c2_cells(params, grid, h), k, "valid") * h
+    ridge = r * s * c2_sm
+    values = np.add.outer(r**3 * s**2 + ridge[rows], ridge)
 
     # diagonal R R(t1 - t2)^2: cell averages by lag, which are exactly zero
     # where the second antiderivative is linear, smeared by the kernel's
@@ -207,20 +226,39 @@ def smear_surface(
     q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
     a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
     a[np.abs(lags) >= _support(params) + h] = 0.0
-    g = r * np.convolve(a, np.convolve(k, k) * h**2, mode="valid")
-    values += sliding_window_view(g[::-1], n_out)[::-1]
+    g = r * _convolve(a, _convolve(k, k) * h**2, "valid")
+    values += sliding_window_view(g[::-1], n_out)[::-1][rows]
 
-    # central term: its nonzero block convolved in full with the kernel along
-    # both axes; full row w lands on output row w + start - 2m
-    start, block = _ccr_block(params, grid, h)
-    rows = np.array([np.convolve(row, k) for row in block])
-    centre = np.array([np.convolve(col, k) for col in rows.T]).T * h**2
-    at = start - 2 * m
-    lo, hi = max(0, -at), min(centre.shape[0], n_out - at)
-    values[at + lo : at + hi, at + lo : at + hi] += centre[lo:hi, lo:hi]
+    # central term: its block rows within the kernel's reach of the rows asked
+    # for, weighted by the kernel along t1, then convolved in full along t2;
+    # full column v lands on output column v + col0 - 2m
+    reach = np.max(np.abs(grid[m : n - m][rows])) + (m + 0.5) * h
+    row0, col0, block = _ccr_block(params, grid, h, reach)
+    lo, hi = max(rows.start, row0 - 2 * m), min(rows.stop, row0 + block.shape[0])
+    lag = np.arange(lo, hi)[:, None] + 2 * m - row0 - np.arange(block.shape[0])
+    weights = np.where(np.abs(lag - m) <= m, k[lag.clip(0, 2 * m)], 0.0)
+    centre = _convolve(weights @ block, k) * h**2
+    at = col0 - 2 * m
+    first, last = max(0, -at), min(centre.shape[1], n_out - at)
+    values[lo - rows.start : hi - rows.start, at + first : at + last] += (
+        centre[:, first:last]
+    )
+    return values, c2_sm
 
-    axis = grid[m : n - m]
-    return CorrelationSurface(axis, axis, values, UNIT_PER_S3)
+
+def _convolve(a: np.ndarray, v: np.ndarray, mode: str = "full") -> np.ndarray:
+    """``np.convolve`` of ``a``, or of each row of a 2D ``a``, with ``v``;
+    ``GuardError`` before any work when a.size * v.size, a bound on the
+    multiply-adds, exceeds ``MAX_CONVOLVE_WORK``."""
+    work = a.size * v.size
+    if work > MAX_CONVOLVE_WORK:
+        raise GuardError(
+            f"convolution would take {work:.3g} multiply-adds, "
+            f"guard is {MAX_CONVOLVE_WORK:.0e}"
+        )
+    if a.ndim == 1:
+        return np.convolve(a, v, mode)
+    return np.array([np.convolve(row, v, mode) for row in a])
 
 
 @dataclass(frozen=True)
@@ -297,14 +335,16 @@ def _support(params: SourceParams) -> float:
 
 
 def _ccr_block(
-    params: SourceParams, grid: np.ndarray, step: float
-) -> tuple[int, np.ndarray]:
+    params: SourceParams, grid: np.ndarray, step: float, reach: float = np.inf
+) -> tuple[int, int, np.ndarray]:
     """Cell averages of the genuine triple term 2 C(a) C(b) R(a-b).
 
     The term lives on the tiny square |a|, |b| <= dt around the origin, so
-    only the few cells touching it are subsampled.  Returns the index of the
-    block's first row (and column) on ``grid`` and the square block; every
-    cell outside it is zero.
+    only the few cells touching it are subsampled, and only at the subsample
+    offsets where C is nonzero in some cell: the others add exact zeros.
+    Rows are kept for the cells within ``reach`` of zero.  Returns the
+    indices on ``grid`` of the block's first row and first column and the
+    block; every cell outside it is zero or, beyond ``reach``, not computed.
     """
     dt = params.coherence_time
     m = max(8, int(np.ceil(16 * step / dt)))
@@ -312,14 +352,18 @@ def _ccr_block(
     idx = np.nonzero(np.abs(grid) <= _support(params) + step)[0]
     points = grid[idx, None] + offs  # subsample points of each cell
     cross = model.cross_correlation(params, points)
-    out = np.zeros((idx.size, idx.size))
+    live = np.any(cross, axis=0)
+    points, cross = points[:, live], cross[:, live]
+    rows = np.nonzero(np.abs(grid[idx]) <= reach)[0]
+    out = np.zeros((rows.size, idx.size))
     # one block row at a time: cell u against every cell v
-    for u, (pa, ca) in enumerate(zip(points, cross)):
+    for u, (pa, ca) in enumerate(zip(points[rows], cross[rows])):
         if not np.any(ca):
             continue
         r12 = model.auto_correlation(params, pa[:, None] - points[:, None, :])
-        out[u] = 2.0 * np.mean(ca[:, None] * cross[:, None, :] * r12, axis=(1, 2))
-    return int(idx[0]), out
+        total = np.sum(ca[:, None] * cross[:, None, :] * r12, axis=(1, 2))
+        out[u] = 2.0 * total / m**2
+    return int(idx[rows[0]]), int(idx[0]), out
 
 
 # ---------------------------------------------------------------------------
@@ -330,54 +374,22 @@ def _ccr_block(
 def gbar2c_analytic(
     params: SourceParams, kernel: ResponseKernel, tau_grid
 ) -> CorrelationCurve:
-    """Window-averaged conditioned coherence built from 1D convolutions.
+    """Window-averaged conditioned coherence: the t1 = 0 row of the smeared
+    triple rate, built by the code that builds ``smear_surface``, over R^3
+    and the smeared g2_si at 0 and at tau (from the same ridge).
 
-    The smeared triple rate along the measured slice decomposes into the two
-    signal-idler ridge responses (the smeared g2_si excess at 0 and at tau),
-    the diagonal signal-signal ridge convolved with the kernel
-    autocorrelation, and the small subsampled central term.  Dividing by the
-    smeared g2_si factors per the ratio estimator gives the full curve,
-    which runs from (1+2X)/(1+X)^2 at short delays to 1 beyond twice the
-    window support.
+    It runs from (1+2X)/(1+X)^2 at short delays to 1 beyond twice the window
+    support.  Each delay must be a point of the kernel grid (``GridError``
+    otherwise); no n^2 array is formed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     h = kernel.grid_step
-    k = kernel.samples
-    r = params.pair_rate
-    dt = params.coherence_time
+    m = kernel.half_len
     max_tau = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
-    half_span = max_tau + 2 * kernel.support_halfwidth + 2 * dt + 4 * h
-    grid = _symmetric_grid(h, half_span)
-    half_len = (grid.size - 1) // 2
-
-    # smeared g2_si excess e(tau) on the internal grid
-    excess = _c2_cells(params, grid, h) / r**2
-    e = np.convolve(excess, k, mode="same") * h
-
-    # diagonal ridge: cell weights of (R(u)/R)^2 convolved with the kernel
-    # autocorrelation density
-    w_diag = (
-        model.auto_sq_cumulative(params, grid + h / 2)
-        - model.auto_sq_cumulative(params, grid - h / 2)
-    ) / r**2
-    rho = np.convolve(k, k) * h
-    d = np.convolve(w_diag, rho, mode="same")
-
-    # central term: fine inner integral against the analytic kernel, then
-    # cell weights convolved with the kernel
-    fine = _symmetric_grid(dt / 256, dt + h)
-    fstep = dt / 256
-    c_fine = model.cross_correlation(params, fine)
-    a_fine = model.auto_correlation(params, fine)
-    inner = np.convolve(c_fine * kernel.value(fine), a_fine, mode="same") * fstep
-    m_fine = c_fine * inner * (2.0 / r**3)
-    cells = np.rint(fine / h).astype(int) + half_len
-    w_cc = np.zeros(grid.size)
-    np.add.at(w_cc, cells, m_fine * fstep)
-    c_term = np.convolve(w_cc, k, mode="same")
-
-    e0 = e[half_len]
-    idx = _grid_index(grid, tau_grid)
-    numerator = 1.0 + e0 + e[idx] + d[idx] + c_term[idx]
-    values = numerator / ((1.0 + e0) * (1.0 + e[idx]))
+    grid = _symmetric_grid(h, max_tau + kernel.support_halfwidth + 2 * h)
+    i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
+    row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
+    idx = _grid_index(grid[m : grid.size - m], tau_grid)
+    g2 = kernel.samples.sum() * h + c2_sm / params.pair_rate**2
+    values = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
     return CorrelationCurve(tau_grid, values, UNIT_DIMENSIONLESS)

@@ -101,8 +101,8 @@ def dense_p_ssi(params, step, half_span):
     q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
-    start, block = smearing._ccr_block(params, grid, step)
-    ccr[start : start + block.shape[0], start : start + block.shape[0]] = block
+    row0, col0, block = smearing._ccr_block(params, grid, step)
+    ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
     return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
 

@@ -247,6 +247,8 @@ class TestCliCommands:
             ("count", {"window.bin_s": "1e-30"}),
             ("analytic", {"window.span_s": "1e30"}),
             ("smear", {"window.span_s": "1e30"}),
+            # a ~1e6-point curve against a ~2e5-sample kernel
+            ("smear", {"chain.jitter_s": "1e-12", "window.bin_s": "5e-14"}),
             ("simulate", {"run.seed": "-1"}),
             # delays or the window reach past int64 femtosecond ticks
             ("count", {"window.span_s": "1e4", "window.bin_s": "1e3"}),

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from spdclab import SourceParams, limit_ratios
 from spdclab.model import (
     auto_correlation,
-    auto_sq_cumulative,
     cross_correlation,
     cross_sq_cumulative,
     g2_c,
@@ -236,18 +235,4 @@ class TestCumulatives:
             )
             assert cross_sq_cumulative(p, tau) == pytest.approx(
                 num, rel=1e-9, abs=1e-9 * p.pair_rate
-            )
-
-    @pytest.mark.parametrize("shape", ["box", "triangle"])
-    def test_auto_sq_cumulative_matches_quadrature(self, shape):
-        p = SourceParams(7e6, 1.3e-9, shape)
-        dt = p.coherence_time
-        for tau in (-1.5 * dt, -0.4 * dt, 0.0, 0.3 * dt, 0.8 * dt, 3 * dt):
-            num, _ = quad(
-                lambda t: auto_correlation(p, t) ** 2, -2 * dt, tau,
-                points=[x for x in (-dt, -dt / 2, 0, dt / 2, dt) if x < tau],
-                limit=200,
-            )
-            assert auto_sq_cumulative(p, tau) == pytest.approx(
-                num, rel=1e-9, abs=1e-9 * p.pair_rate**2 * dt
             )

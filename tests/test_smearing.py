@@ -217,6 +217,26 @@ class TestSmearSurface:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_central_block_memory_bounded_at_short_coherence(self):
+        import tracemalloc
+
+        from spdclab import smearing
+
+        # dt = 0.5 ps on the desk grid: 1600 subsamples per cell and axis, of
+        # which only the few where C is nonzero are kept
+        p = SourceParams(2e7, 5e-13)
+        grid = np.arange(-521, 522) * 5e-11
+        tracemalloc.start()
+        try:
+            block = smearing._ccr_block(p, grid, 5e-11)[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**6
+        assert block.shape == (3, 3)
+        # all of the term's weight sits in the centre cell
+        assert block[1, 1] > 0 and np.count_nonzero(block) == 1
+
     def test_rejects_span_within_kernel_support(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)  # 243 samples
@@ -267,20 +287,43 @@ class TestGbar2cAnalytic:
         taus = np.arange(-240, 241) * step  # out to 12 ns
         curve = gbar2c_analytic(p, k, taus)
 
+        # oracle: the t1 = 0 row of the smeared surface over R^3 and the
+        # smeared g2_si at 0 and at tau
         sm = smear_surface(p, k, 2.0e-8)
-        i0 = np.argmin(np.abs(sm.t1))
-        slice_vals = sm.values[i0, :]
         g2_sm = smear_curve(sample_g2_si(p, step, 2.0e-8), k)
-        # oracle: ratio built from the smeared surface slice
-        r3 = p.pair_rate**3
-        e0 = g2_sm.value_at(0.0)
-        oracle = {}
-        for tau in (0.0, 2e-9, 5e-9, 7e-9, 9e-9, 12e-9):
-            j = np.argmin(np.abs(sm.t2 - tau))
-            jt = np.argmin(np.abs(g2_sm.delays - tau))
-            oracle[tau] = slice_vals[j] / r3 / (e0 * g2_sm.values[jt])
-        for tau, expected in oracle.items():
-            assert curve.value_at(tau) == pytest.approx(expected, rel=5e-4), tau
+        row = sm.values[np.argmin(np.abs(sm.t1))]
+        oracle = np.array([
+            row[np.argmin(np.abs(sm.t2 - tau))] / p.pair_rate**3
+            / (g2_sm.value_at(0.0) * g2_sm.value_at(tau))
+            for tau in taus
+        ])
+        assert np.max(np.abs(curve.values - oracle) / oracle) <= 1e-12
+
+    def test_box_zero_delay_matches_quadrature(self):
+        # desk box at a 5 ps kernel step; both box supports (|t| <= dt/2)
+        # lie inside the kernel's flat top |t| <= 4 ns, so
+        # gbar2c(0) = (1 + 2X + D + 3 p^2 dt / (2R)) / (1 + X)^2 with
+        # D the integral of (K * K)(u) over |u| <= dt/2
+        from scipy.integrate import quad
+
+        p = SourceParams(2e7, 1e-9)
+        dt = p.coherence_time
+        step = 5e-12
+        k = build_kernel(5e-9, 1e-9, step)
+        breaks = [-6e-9, -4e-9, 4e-9, 6e-9]
+
+        def window(t):  # integral of K(t + u) over |u| <= dt/2
+            return quad(k.value, t - dt / 2, t + dt / 2,
+                        points=[b for b in breaks if abs(b - t) < dt / 2])[0]
+
+        d = quad(lambda t: k.value(t) * window(t), -6.5e-9, 6.5e-9,
+                 points=[b + o for b in breaks for o in (-dt / 2, 0, dt / 2)],
+                 limit=200)[0]
+        x = k.plateau_height / p.pair_rate
+        exact = ((1 + 2 * x + d + 3 * k.plateau_height**2 * dt / (2 * p.pair_rate))
+                 / (1 + x) ** 2)
+        curve = gbar2c_analytic(p, k, np.array([0.0, step]))
+        assert curve.value_at(0.0) == pytest.approx(exact, abs=1e-4)
 
     def test_extremes_match_predictions_when_scales_separate(self):
         mu = 1e-6
@@ -324,8 +367,11 @@ class TestSamplers:
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_g2ss_excess_integral(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
-        total = (model.auto_sq_cumulative(p, 5e-9)
-                 - model.auto_sq_cumulative(p, -5e-9)) / p.pair_rate**2
+        # Q is even and linear beyond the support, so the integral of R^2
+        # over |u| <= L is 2 Q'(L) = 2 (Q(L + s) - Q(L)) / s
+        big, s = 5e-9, 1e-9
+        q2 = model.auto_sq_antider2(p, big + s) - model.auto_sq_antider2(p, big)
+        total = 2 * q2 / s / p.pair_rate**2
         expected = p.coherence_time if shape == "box" else 2 * p.coherence_time / 3
         assert total == pytest.approx(expected, rel=1e-12)
 
