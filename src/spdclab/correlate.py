@@ -280,13 +280,14 @@ def coincidence_histograms(
     reference events are counted at a time.
     """
     delays = np.asarray(delays, dtype=float)
-    lows, highs = _window_bounds(delays, tauc)
+    # the signal1 gate is the window at delay 0, appended as the last one
+    lows, highs = _window_bounds(np.append(delays, 0.0), tauc)
     duration = _common_duration(i, s1, s2)
-    tc = seconds_to_ticks(tauc)
     n1 = np.zeros(len(i), dtype=np.int64)
     pairs_s1 = _edge_binned_counts(
-        s1.timestamps, i.timestamps, np.append(lows, -tc), np.append(highs, tc + 1),
-        chunk_size, occupancy=(-tc, tc + 1, n1))[0, :-1]
+        s1.timestamps, i.timestamps, lows, highs, chunk_size,
+        occupancy=(lows[-1], highs[-1], n1))[0, :-1]
+    lows, highs = lows[:-1], highs[:-1]
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
     pairs_s2, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,

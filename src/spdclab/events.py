@@ -24,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
+    MAX_PAIRS,
     TICKS_PER_SECOND,
     DetectorChain,
     GuardError,
     SourceParams,
     duration_to_ticks,
+    guard,
     seconds_to_ticks,
 )
 
@@ -51,9 +53,6 @@ _SUB_ROUTE = 3
 # channel k of CHANNELS jitters from substream _SUB_JITTER + k
 _SUB_JITTER = 4
 _N_SUBSTREAMS = _SUB_JITTER + len(CHANNELS)
-
-#: refuse runs expected to hold more pairs than this (8 GB of pair times)
-MAX_PAIRS = 10**9
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -112,15 +111,6 @@ class EventStream:
         return self.duration / TICKS_PER_SECOND
 
 
-def _check_pair_count(params: SourceParams, duration: float) -> None:
-    """``GuardError`` before any draw when R * duration exceeds ``MAX_PAIRS``."""
-    expected = params.pair_rate * duration
-    if not expected <= MAX_PAIRS:
-        raise GuardError(
-            f"run would hold {expected:.3g} pairs on average, guard is {MAX_PAIRS}"
-        )
-
-
 def _pairs_from_cell_draws(
     occupied: np.ndarray, counts: np.ndarray, dt: float, duration: float,
     rng: np.random.Generator,
@@ -147,7 +137,7 @@ def gen_thermal_cells(
         )
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    _check_pair_count(params, duration)
+    guard("mean pairs of the run", params.pair_rate * duration, MAX_PAIRS)
     dt = params.coherence_time
     n_cells = int(np.ceil(duration / dt))
     rng = _substream(seed, _SUB_PAIRGEN)
@@ -183,7 +173,7 @@ def gen_poisson_pairs(
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    _check_pair_count(params, duration)
+    guard("mean pairs of the run", params.pair_rate * duration, MAX_PAIRS)
     rng = _substream(seed, _SUB_PAIRGEN)
     if duration == 0:
         return PairList(np.empty(0), duration)

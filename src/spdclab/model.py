@@ -83,8 +83,8 @@ def g2_si(params: SourceParams, tau):
     For the box shape this is 1 + 1/(R*dt) inside |tau| <= dt/2 and exactly
     1 outside.
     """
-    c = cross_correlation(params, tau)
-    return 1.0 + np.square(c) / params.pair_rate**2
+    out = 1.0 + np.square(cross_correlation(params, tau)) / params.pair_rate**2
+    return out if out.ndim else float(out)
 
 
 def g2_ss_unconditional(params: SourceParams, tau):
@@ -93,8 +93,8 @@ def g2_ss_unconditional(params: SourceParams, tau):
     Equals 2 at zero delay (thermal beam statistics) and 1 once the
     autocorrelation has died out.
     """
-    a = auto_correlation(params, tau)
-    return 1.0 + np.square(a) / params.pair_rate**2
+    out = 1.0 + np.square(auto_correlation(params, tau)) / params.pair_rate**2
+    return out if out.ndim else float(out)
 
 
 def p_ssi(params: SourceParams, t1, t2, ti):
@@ -144,7 +144,7 @@ def g2_c(params: SourceParams, t1, t2, ti):
     ti = np.asarray(ti, dtype=float)
     r3 = params.pair_rate**3
     denom = r3 * g2_si(params, t1 - ti) * g2_si(params, t2 - ti)
-    out = p_ssi(params, t1, t2, ti) / denom
+    out = np.asarray(p_ssi(params, t1, t2, ti) / denom)
     return out if out.ndim else float(out)
 
 

@@ -25,6 +25,15 @@ MU_WARN_THRESHOLD = 0.1
 #: refuse to build a delay grid of more points than this (80 MB of float64)
 MAX_GRID_POINTS = 10**7
 
+#: refuse runs expected to hold more pairs than this (8 GB of pair times)
+MAX_PAIRS = 10**9
+
+#: refuse to allocate smeared surfaces beyond this cell count
+MAX_SURFACE_CELLS = 10**8
+
+#: refuse a smearing convolution beyond this many multiply-adds
+MAX_CONVOLVE_WORK = 10**10
+
 
 class SpdcLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -131,6 +140,13 @@ class AnalysisWindow:
         return symmetric_grid(np.rint(self.span / self.bin_width), self.bin_width)
 
 
+def guard(what: str, amount: float, limit: float) -> None:
+    """The check of every resource budget, made before the resource is spent:
+    ``GuardError`` unless ``amount <= limit``, which a NaN amount fails."""
+    if not amount <= limit:
+        raise GuardError(f"{what} would be {amount:.3g}, guard is {limit:.3g}")
+
+
 def symmetric_grid(n: float, step: float) -> np.ndarray:
     """The grid ``arange(-n, n + 1) * step`` of a whole number ``n``.
 
@@ -138,10 +154,7 @@ def symmetric_grid(n: float, step: float) -> np.ndarray:
     infinite included: a grid of more than ``MAX_GRID_POINTS`` points raises
     ``GuardError`` before anything is allocated.
     """
-    if not 2 * n + 1 <= MAX_GRID_POINTS:
-        raise GuardError(
-            f"delay grid would have {2 * n + 1:.3g} points, guard is {MAX_GRID_POINTS}"
-        )
+    guard("delay grid points", 2 * n + 1, MAX_GRID_POINTS)
     n = int(n)
     return np.arange(-n, n + 1) * step
 

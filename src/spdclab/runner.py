@@ -148,38 +148,38 @@ def _scenario_kernel(scenario: Scenario) -> smearing.ResponseKernel:
 
 
 def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[str, str]:
-    """Emit the window-averaged curves and plateau predictions."""
-    os.makedirs(outdir, exist_ok=True)
+    """Emit the window-averaged curves and plateau predictions.
+
+    Every product is computed, and so every guard has run, before the first
+    one is written: a run that trips a guard writes no product.
+    """
     src = scenario.source
     window = scenario.window
     kernel = _scenario_kernel(scenario)
-    out = {}
-
-    write_curve_csv(_product(out, outdir, "kernel"), kernel.delays(),
-                    kernel.samples, unit="per_s", scenario=scenario)
-
     # sampled span from which the valid convolution still covers the grid
     half_span = window.span + kernel.support_halfwidth + window.bin_width
     curve = smearing.smear_curve(
         smearing.sample_g2_si(src, window.bin_width, half_span), kernel
     )
     keep = np.abs(curve.delays) <= window.span + window.bin_width / 2
+    gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
+    pred = smearing.predict_plateaus(src, kernel)
+    surface = smearing.smear_surface(src, kernel, half_span) if with_surface else None
+
+    os.makedirs(outdir, exist_ok=True)
+    out = {}
+    write_curve_csv(_product(out, outdir, "kernel"), kernel.delays(),
+                    kernel.samples, unit="per_s", scenario=scenario)
     write_curve_csv(_product(out, outdir, "g2_si_smeared"), curve.delays[keep],
                     curve.values[keep], unit=curve.unit, scenario=scenario)
-
-    gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
     write_curve_csv(_product(out, outdir, "gbar2_c_analytic"), gbar.delays,
                     gbar.values, unit=gbar.unit, scenario=scenario)
-
-    pred = smearing.predict_plateaus(src, kernel)
     _write_table(
         _product(out, outdir, "plateaus"), _header(scenario), ["quantity", "value"],
         ["X", "g2si_plateau", "nssi_short_per_s3", "nssi_long_per_s3", "gbar2c_short"],
         [pred.X, pred.g2si_plateau, pred.nssi_short, pred.nssi_long, pred.gbar2c_short],
     )
-
-    if with_surface:
-        surface = smearing.smear_surface(src, kernel, half_span)
+    if surface is not None:
         write_surface_csv(_product(out, outdir, "p_ssi_smeared"), surface, scenario)
     return out
 

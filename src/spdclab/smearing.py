@@ -31,7 +31,8 @@ from .curves import (
     CorrelationSurface,
     _grid_index,
 )
-from .params import GridError, GuardError, SourceParams, symmetric_grid
+from .params import (MAX_CONVOLVE_WORK, MAX_GRID_POINTS, MAX_SURFACE_CELLS, GridError,
+                     SourceParams, guard, symmetric_grid)
 
 __all__ = [
     "ResponseKernel",
@@ -43,12 +44,6 @@ __all__ = [
     "gbar2c_analytic",
     "sample_g2_si",
 ]
-
-#: refuse to allocate smeared surfaces beyond this cell count
-MAX_SURFACE_CELLS = 10**8
-
-#: refuse a smearing convolution beyond this many multiply-adds
-MAX_CONVOLVE_WORK = 10**10
 
 _STEP_TOL = 1e-9
 
@@ -187,10 +182,7 @@ def smear_surface(
     m = kernel.half_len
     grid = _symmetric_grid(h, half_span)
     n = grid.size
-    if n * n > MAX_SURFACE_CELLS:
-        raise GuardError(
-            f"requested surface would have {n**2} cells, guard is {MAX_SURFACE_CELLS}"
-        )
+    guard("surface cells", n * n, MAX_SURFACE_CELLS)
     values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
     axis = grid[m : n - m]
     return CorrelationSurface(axis, axis, values, UNIT_PER_S3)
@@ -250,12 +242,7 @@ def _convolve(a: np.ndarray, v: np.ndarray, mode: str = "full") -> np.ndarray:
     """``np.convolve`` of ``a``, or of each row of a 2D ``a``, with ``v``;
     ``GuardError`` before any work when a.size * v.size, a bound on the
     multiply-adds, exceeds ``MAX_CONVOLVE_WORK``."""
-    work = a.size * v.size
-    if work > MAX_CONVOLVE_WORK:
-        raise GuardError(
-            f"convolution would take {work:.3g} multiply-adds, "
-            f"guard is {MAX_CONVOLVE_WORK:.0e}"
-        )
+    guard("convolution multiply-adds", a.size * v.size, MAX_CONVOLVE_WORK)
     if a.ndim == 1:
         return np.convolve(a, v, mode)
     return np.array([np.convolve(row, v, mode) for row in a])
@@ -345,6 +332,9 @@ def _ccr_block(
     Rows are kept for the cells within ``reach`` of zero.  Returns the
     indices on ``grid`` of the block's first row and first column and the
     block; every cell outside it is zero or, beyond ``reach``, not computed.
+    A row temporary past ``MAX_GRID_POINTS`` elements, or rows past
+    ``MAX_CONVOLVE_WORK`` multiply-adds in all, raise ``GuardError`` before
+    the first row.
     """
     dt = params.coherence_time
     m = max(8, int(np.ceil(16 * step / dt)))
@@ -353,8 +343,12 @@ def _ccr_block(
     points = grid[idx, None] + offs  # subsample points of each cell
     cross = model.cross_correlation(params, points)
     live = np.any(cross, axis=0)
-    points, cross = points[:, live], cross[:, live]
     rows = np.nonzero(np.abs(grid[idx]) <= reach)[0]
+    # each block row forms (live offsets, cells, live offsets) temporaries
+    per_row = idx.size * np.count_nonzero(live) ** 2
+    guard("central block row elements", per_row, MAX_GRID_POINTS)
+    guard("central block multiply-adds", rows.size * per_row, MAX_CONVOLVE_WORK)
+    points, cross = points[:, live], cross[:, live]
     out = np.zeros((rows.size, idx.size))
     # one block row at a time: cell u against every cell v
     for u, (pa, ca) in enumerate(zip(points[rows], cross[rows])):

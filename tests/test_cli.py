@@ -254,6 +254,10 @@ class TestCliCommands:
             ("count", {"window.span_s": "1e4", "window.bin_s": "1e3"}),
             ("count", {"window.tauc_s": "1e4", "window.span_s": "3e4",
                        "window.bin_s": "1e3"}),
+            # the delay grid widened by the kernel: 1.5e8 surface cells
+            ("smear --surface", {"window.span_s": "3e-7"}),
+            # a central block of 2e5 cells by 8 x 8 subsamples in each row
+            ("smear", {"source.coherence_time_s": "1e-5", "window.span_s": "2e-5"}),
         ]
     ])
     def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command,
@@ -268,13 +272,17 @@ class TestCliCommands:
         config.write_text(text)
         evt = tmp_path / "ok.evt"
         evt.write_bytes(raw_evt((0, 10**12, [5]), (1, 10**12, [1]), (2, 10**12, [2])))
+        command, *flags = command.split()
+        out = tmp_path / "out"
         args = [command, str(config), *([str(evt)] if command == "count" else []),
-                "-o", str(tmp_path / "out")]
+                "-o", str(out), *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # mu >= 0.1 at 1e30 pairs/s
             code = main(args)
         assert code in (2, 3)
         assert capsys.readouterr().err.startswith(("config error: ", "guard tripped: "))
+        # no partial product set, not even a temporary file
+        assert not [*out.glob("*.csv"), *out.glob("*.tmp")]
 
     @pytest.mark.parametrize("duration", ["1e4", "1e5"])
     def test_duration_beyond_int64_ticks(self, tmp_path, capsys, duration):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdclab import SourceParams, limit_ratios
+from spdclab import SourceParams, limit_ratios, model
 from spdclab.model import (
     auto_correlation,
     cross_correlation,
@@ -236,3 +236,20 @@ class TestCumulatives:
             assert cross_sq_cumulative(p, tau) == pytest.approx(
                 num, rel=1e-9, abs=1e-9 * p.pair_rate
             )
+
+
+@pytest.mark.parametrize("shape", ["box", "triangle"])
+@pytest.mark.parametrize("name", model.__all__)
+def test_float_for_scalar_ndarray_for_array(name, shape):
+    import inspect
+
+    p = SourceParams(2e7, 1e-9, shape)
+    f = getattr(model, name)
+    n_times = len(inspect.signature(f).parameters) - 1
+    scalar = f(p, *[2e-10] * n_times)
+    array = f(p, *[np.array([0.0, 2e-10])] * n_times)
+    # limit_ratios returns a pair, every other function one result
+    for value in scalar if isinstance(scalar, tuple) else (scalar,):
+        assert type(value) is float
+    for value in array if isinstance(array, tuple) else (array,):
+        assert type(value) is np.ndarray and value.shape == (2,)

@@ -237,6 +237,26 @@ class TestSmearSurface:
         # all of the term's weight sits in the centre cell
         assert block[1, 1] > 0 and np.count_nonzero(block) == 1
 
+    def test_central_block_guard_at_long_coherence(self):
+        import tracemalloc
+
+        from spdclab import smearing
+
+        # dt = 10 us on the desk grid over a 20 us span: 2e5 block cells with
+        # 8 live subsamples each, so one block row would form temporaries of
+        # 1.3e7 elements; the rows are those gbar2c_analytic asks for on the
+        # desk kernel (a low rate keeps mu = R dt small)
+        p = SourceParams(1e3, 1e-5)
+        grid = np.arange(-400_000, 400_001) * 5e-11
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="central block"):
+                smearing._ccr_block(p, grid, 5e-11, reach=6.025e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 10**6
+
     def test_rejects_span_within_kernel_support(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)  # 243 samples
