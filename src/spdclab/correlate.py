@@ -28,10 +28,11 @@ count, per partner event, the differences that fall in one extra window.
 signal1-idler pass also yields each idler's signal1 gate occupancy from the
 differences it forms; the idler-signal2 pass then counts the signal2-idler
 pairs (unit weight) and the triples (the idler's gate occupancy) at once.
-``triple_histogram`` is the triple part of that call.  Memory is set by the
-chunk, not by the run.  Counting a stream in consecutive chunks gives
-bit-identical results, which is the sharding contract for parallel or
-out-of-core operation.
+``triple_histogram`` is the triple part of that call.  Reference events
+are counted ``CHUNK_SIZE`` at a time, so memory is set by the chunk, not by
+the run.  Counting a stream in consecutive chunks gives bit-identical
+results, which is the sharding contract for parallel or out-of-core
+operation.
 """
 from __future__ import annotations
 
@@ -154,7 +155,6 @@ def _edge_binned_counts(
     tb: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
-    chunk_size: int,
     weights: tuple = (None,),
     occupancy: tuple | None = None,
 ) -> np.ndarray:
@@ -165,20 +165,19 @@ def _edge_binned_counts(
     per event of ``ta``; the differences and their bins are formed once and
     shared by every row.  ``occupancy=(low, high, out)`` also adds to
     ``out[j]`` the number of ``ta`` events with ta_i - tb_j in [low, high),
-    a range that must lie inside the windows' span.  Each reference event
-    of ``ta`` is owned by exactly one chunk and the bin totals are exact
-    integers, so chunked and unchunked counts agree exactly.
+    a range that must lie inside the windows' span.  ``ta`` is taken
+    ``CHUNK_SIZE`` events at a time; each of its events is owned by exactly
+    one chunk and the bin totals are exact integers, so chunked and
+    unchunked counts agree exactly.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     # a repeated edge would only add stepping rounds to the binner
     edges = np.unique(np.concatenate((lows, highs)))
     lo, hi = int(edges[0]), int(edges[-1])
     bin_of = _edge_binner(edges)
     # bin b holds the differences d with edges[b] <= d < edges[b + 1]
     totals = np.zeros((len(weights), edges.size - 1), dtype=np.int64)
-    for start in range(0, ta.size, chunk_size):
-        chunk = ta[start : start + chunk_size]
+    for start in range(0, ta.size, CHUNK_SIZE):
+        chunk = ta[start : start + CHUNK_SIZE]
         # partners tb_j with lo <= chunk - tb_j < hi, that is, with
         # chunk - hi < tb_j <= chunk - lo
         j0 = _ranks(tb, chunk - hi)
@@ -201,7 +200,7 @@ def _edge_binned_counts(
             if weight is None:
                 row += np.bincount(bins, minlength=row.size)
             else:
-                w = np.repeat(weight[start : start + chunk_size], counts)
+                w = np.repeat(weight[start : start + CHUNK_SIZE], counts)
                 # integer weights sum exactly in float64 below 2**53 per chunk
                 row += np.bincount(bins, w, minlength=row.size).astype(np.int64)
                 del w
@@ -226,18 +225,12 @@ def pair_histogram(
     b: EventStream,
     delays,
     tauc: float,
-    *,
-    chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
-    """Count pairs with t_a - t_b in the window around every grid delay.
-
-    ``chunk_size`` reference events of ``a`` are counted at a time.
-    """
+    """Count pairs with t_a - t_b in the window around every grid delay."""
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
     duration = _common_duration(a, b)
-    (counts,) = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs,
-                                    chunk_size)
+    (counts,) = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs)
     return Histogram(delays, counts, duration, tauc)
 
 
@@ -247,8 +240,6 @@ def triple_histogram(
     s2: EventStream,
     delays,
     tauc: float,
-    *,
-    chunk_size: int = CHUNK_SIZE,
 ) -> Histogram:
     """Count (idler, signal1, signal2) triples per grid delay: the triples
     of ``coincidence_histograms``.
@@ -256,7 +247,7 @@ def triple_histogram(
     Each idler contributes (partners in the signal1 gate) times (partners in
     the delay-tau signal2 window).
     """
-    return coincidence_histograms(i, s1, s2, delays, tauc, chunk_size=chunk_size)[2]
+    return coincidence_histograms(i, s1, s2, delays, tauc)[2]
 
 
 def coincidence_histograms(
@@ -265,8 +256,6 @@ def coincidence_histograms(
     s2: EventStream,
     delays,
     tauc: float,
-    *,
-    chunk_size: int = CHUNK_SIZE,
 ) -> tuple[Histogram, Histogram, Histogram]:
     """Signal1-idler pairs, ``pair_histogram(s1, i, ...)``, signal2-idler
     pairs, ``pair_histogram(s2, i, ...)``, and (idler, signal1, signal2)
@@ -276,8 +265,7 @@ def coincidence_histograms(
     the differences it forms anyway; the gate window is counted with the
     grid's windows and its count dropped, so the grid need not hold 0.  The
     idler pass bins the idler-signal2 differences once for the pairs and
-    for the triples, each weighted by its idler's occupancy.  ``chunk_size``
-    reference events are counted at a time.
+    for the triples, each weighted by its idler's occupancy.
     """
     delays = np.asarray(delays, dtype=float)
     # the signal1 gate is the window at delay 0, appended as the last one
@@ -285,19 +273,19 @@ def coincidence_histograms(
     duration = _common_duration(i, s1, s2)
     n1 = np.zeros(len(i), dtype=np.int64)
     pairs_s1 = _edge_binned_counts(
-        s1.timestamps, i.timestamps, lows, highs, chunk_size,
+        s1.timestamps, i.timestamps, lows, highs,
         occupancy=(lows[-1], highs[-1], n1))[0, :-1]
     lows, highs = lows[:-1], highs[:-1]
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
     pairs_s2, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
-                                            1 - lows, chunk_size, (None, n1))
+                                            1 - lows, (None, n1))
     return tuple(Histogram(delays, counts, duration, tauc)
                  for counts in (pairs_s1, pairs_s2, triples))
 
 
 def estimate_g2bar_si(
-    pairs: Histogram, a_rate: RateEstimate | float, b_rate: RateEstimate | float
+    pairs: Histogram, a_rate: RateEstimate, b_rate: RateEstimate
 ) -> EstimatorCurve:
     """Normalize a pair histogram to the accidental level.
 
@@ -305,8 +293,7 @@ def estimate_g2bar_si(
     streams give 1.  Errors are Poisson on the pair counts and on the
     singles counts, combined in quadrature.
     """
-    ra = a_rate.value if isinstance(a_rate, RateEstimate) else float(a_rate)
-    rb = b_rate.value if isinstance(b_rate, RateEstimate) else float(b_rate)
+    ra, rb = a_rate.value, b_rate.value
     if ra <= 0 or rb <= 0:
         raise ValueError("singles rates must be positive")
     t = pairs.duration
@@ -325,7 +312,7 @@ def estimate_gbar2_c(
     triples: Histogram,
     pairs0: float,
     pairs: Histogram,
-    idler_rate: RateEstimate | float,
+    idler_rate: RateEstimate,
 ) -> EstimatorCurve:
     """Efficiency-independent conditioned-coherence estimator.
 
@@ -336,7 +323,7 @@ def estimate_gbar2_c(
     every detection efficiency in expectation.  Bins with an empty
     denominator are flagged as NaN.
     """
-    ri = idler_rate.value if isinstance(idler_rate, RateEstimate) else float(idler_rate)
+    ri = idler_rate.value
     if ri <= 0 or pairs0 <= 0:
         raise ValueError("idler rate and zero-delay pair rate must be positive")
     if triples.counts.shape != pairs.counts.shape:

@@ -29,24 +29,20 @@ def _check_uniform(delays: np.ndarray) -> float:
 
 
 def _grid_index(grid: np.ndarray, x):
-    """Index of the point of ``grid`` at ``x``, an int for a scalar and an
-    int array for an array of queries; raises ``GridError`` when a query is
-    further than 1e-6 of the grid spacing from every point."""
+    """Index of the point of the ascending ``grid`` at ``x``, an int for a
+    scalar and an int array for an array of queries; raises ``GridError``
+    when a query is further than 1e-6 of the grid spacing from every point."""
     q = np.asarray(x, dtype=float)
-    order = np.argsort(grid, kind="stable")
-    ascending = grid[order]
-    i = np.searchsorted(ascending, q).clip(0, grid.size - 1)
+    i = np.searchsorted(grid, q).clip(0, grid.size - 1)
     # the nearest point is the one at or after the query or the one before
     # it; a tie goes to the lower index
     before = (i - 1).clip(0)
-    i = np.where(np.abs(ascending[before] - q) <= np.abs(ascending[i] - q),
-                 before, i)
-    spacing = np.min(np.diff(ascending)) if grid.size > 1 else 0.0
-    off = ~(np.abs(ascending[i] - q) <= 1e-6 * spacing)
+    i = np.where(np.abs(grid[before] - q) <= np.abs(grid[i] - q), before, i)
+    spacing = np.min(np.diff(grid)) if grid.size > 1 else 0.0
+    off = ~(np.abs(grid[i] - q) <= 1e-6 * spacing)
     if np.any(off):
         raise GridError(f"{q[off][0]} is not a point of the grid "
                         f"[{grid[0]}, {grid[-1]}]")
-    i = order[i]
     return int(i) if i.ndim == 0 else i
 
 

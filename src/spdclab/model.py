@@ -8,6 +8,12 @@ delay range set by the coherence time dt and normalized so that
     C(0)^2 / R^2 = 1 / (R * dt)
 
 which makes the signal-idler coherence peak g2_si(0) = 1 + 1/(R*dt).
+Both shapes below share one profile rho(tau) = R(tau)/R and tie C to R by
+
+    C(tau)^2 = R(tau) / dt
+
+so a shape is decided once, by its profile, its support and its exact
+antiderivatives.
 
 Two peak shapes are provided:
 
@@ -49,31 +55,44 @@ __all__ = [
 FAR_FACTOR = 1e3
 
 
-def auto_correlation(params: SourceParams, tau):
-    """Beam autocorrelation R(tau); R(0) equals the pair rate."""
+def support(params: SourceParams) -> float:
+    """Half-width beyond which C and R vanish: dt/2 for the box, dt for
+    the triangle."""
+    dt = params.coherence_time
+    return dt / 2 if params.shape == "box" else dt
+
+
+def _profile(params: SourceParams, tau) -> np.ndarray:
+    """The peak profile rho(tau) = R(tau)/R: the indicator of |tau| <= dt/2
+    for the box, (1 - |tau|/dt) clipped at zero for the triangle.
+
+    Always a new ndarray, 0-d for a scalar, so that callers scale it in
+    place and form no second array of its size.
+    """
     tau = np.asarray(tau, dtype=float)
-    r, dt = params.pair_rate, params.coherence_time
+    dt = params.coherence_time
     if params.shape == "box":
-        out = np.where(np.abs(tau) <= dt / 2, r, 0.0)
-    else:
-        out = r * np.clip(1.0 - np.abs(tau) / dt, 0.0, None)
+        return np.where(np.abs(tau) <= dt / 2, 1.0, 0.0)
+    return np.asarray(np.clip(1.0 - np.abs(tau) / dt, 0.0, None))
+
+
+def auto_correlation(params: SourceParams, tau):
+    """Beam autocorrelation R(tau) = R rho(tau); R(0) equals the pair rate."""
+    out = _profile(params, tau)
+    out *= params.pair_rate
     return out if out.ndim else float(out)
 
 
 def cross_correlation(params: SourceParams, tau):
-    """Signal-idler cross-correlation amplitude C(tau).
+    """Signal-idler cross-correlation amplitude C(tau) = sqrt(R(tau) / dt).
 
     C(0) = sqrt(R / dt) for both shapes; the box keeps C constant over
     |tau| <= dt/2 while the triangle lets C^2 decay linearly to zero at
     |tau| = dt.
     """
-    tau = np.asarray(tau, dtype=float)
-    r, dt = params.pair_rate, params.coherence_time
-    c0_sq = r / dt
-    if params.shape == "box":
-        out = np.where(np.abs(tau) <= dt / 2, np.sqrt(c0_sq), 0.0)
-    else:
-        out = np.sqrt(c0_sq * np.clip(1.0 - np.abs(tau) / dt, 0.0, None))
+    out = _profile(params, tau)
+    out *= params.pair_rate / params.coherence_time
+    np.sqrt(out, out=out)
     return out if out.ndim else float(out)
 
 

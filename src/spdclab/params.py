@@ -25,8 +25,9 @@ MU_WARN_THRESHOLD = 0.1
 #: refuse to build a delay grid of more points than this (80 MB of float64)
 MAX_GRID_POINTS = 10**7
 
-#: refuse runs expected to hold more pairs than this (8 GB of pair times)
-MAX_PAIRS = 10**9
+#: refuse runs expected to hold more pairs than this; ``simulate`` peaks at
+#: about 43 bytes per pair (856 MB at 2e7 pairs), so 4.3 GB at the limit
+MAX_PAIRS = 10**8
 
 #: refuse to allocate smeared surfaces beyond this cell count
 MAX_SURFACE_CELLS = 10**8

@@ -217,7 +217,7 @@ def _smeared_rows(
     lags = np.arange(1 - n, n) * h
     q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
     a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
-    a[np.abs(lags) >= _support(params) + h] = 0.0
+    a[np.abs(lags) >= model.support(params) + h] = 0.0
     g = r * _convolve(a, _convolve(k, k) * h**2, "valid")
     values += sliding_window_view(g[::-1], n_out)[::-1][rows]
 
@@ -315,12 +315,6 @@ def sample_g2_si(
     return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
 
 
-def _support(params: SourceParams) -> float:
-    """Half-width beyond which C and R vanish."""
-    dt = params.coherence_time
-    return dt if params.shape == "triangle" else dt / 2
-
-
 def _ccr_block(
     params: SourceParams, grid: np.ndarray, step: float, reach: float = np.inf
 ) -> tuple[int, int, np.ndarray]:
@@ -339,7 +333,7 @@ def _ccr_block(
     dt = params.coherence_time
     m = max(8, int(np.ceil(16 * step / dt)))
     offs = ((np.arange(m) + 0.5) / m - 0.5) * step
-    idx = np.nonzero(np.abs(grid) <= _support(params) + step)[0]
+    idx = np.nonzero(np.abs(grid) <= model.support(params) + step)[0]
     points = grid[idx, None] + offs  # subsample points of each cell
     cross = model.cross_correlation(params, points)
     live = np.any(cross, axis=0)

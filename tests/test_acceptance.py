@@ -23,6 +23,7 @@ from spdclab import (
     smear_surface,
     triple_histogram,
 )
+from spdclab import correlate
 from spdclab.model import g2_c, g2_si
 from spdclab.runner import _count_streams
 
@@ -245,15 +246,13 @@ def test_criterion_8_counting_oracle():
             th.counts, brute_triple_counts(ti, t1, t2, delays, tauc)
         )
         for chunk in (997, 4096):
-            assert np.array_equal(
-                pair_histogram(pre_1, pre_i, delays, tauc, chunk_size=chunk).counts,
-                ph.counts,
-            )
-            assert np.array_equal(
-                triple_histogram(pre_i, pre_1, pre_2, delays, tauc,
-                                 chunk_size=chunk).counts,
-                th.counts,
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "CHUNK_SIZE", chunk)
+                assert np.array_equal(
+                    pair_histogram(pre_1, pre_i, delays, tauc).counts, ph.counts)
+                assert np.array_equal(
+                    triple_histogram(pre_i, pre_1, pre_2, delays, tauc).counts,
+                    th.counts)
         checked += 1
     assert checked == 10
     report(8, "counting oracle",

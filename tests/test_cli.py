@@ -242,6 +242,8 @@ class TestCliCommands:
             [command, *(f"{k}-{v}" for k, v in overrides.items())]))
         for command, overrides in [
             ("simulate", {"source.rate_hz": "1e30"}),
+            # 4e8 mean pairs: past the pair guard, short of the old 1e9 limit
+            ("simulate", {"source.rate_hz": "2e11"}),
             ("analytic", {"window.bin_s": "1e-30"}),
             ("smear", {"window.bin_s": "1e-30"}),
             ("count", {"window.bin_s": "1e-30"}),

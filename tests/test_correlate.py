@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from spdclab import (
     EstimatorCurve,
     EventStream,
     GridError,
+    RateEstimate,
     SourceParams,
     apply_detector_chain,
     coincidence_histograms,
@@ -20,6 +23,7 @@ from spdclab import (
     singles_rate,
     triple_histogram,
 )
+from spdclab import correlate
 from spdclab.correlate import (
     CHUNK_SIZE,
     _edge_binned_counts,
@@ -35,6 +39,14 @@ from _oracles import brute_pair_counts, brute_triple_counts
 def stream(channel, seconds, duration=1e-3):
     ticks = np.rint(np.asarray(seconds) * 1e15).astype(np.int64)
     return EventStream(channel, np.sort(ticks), int(round(duration * 1e15)))
+
+
+@contextlib.contextmanager
+def chunk_size(size):
+    """Count ``size`` reference events at a time inside the context."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlate, "CHUNK_SIZE", size)
+        yield
 
 
 def poisson_stream(channel, rate, duration, seed):
@@ -103,15 +115,9 @@ class TestPairHistogram:
         delays = np.arange(-10, 11) * 20e-9
         base = pair_histogram(a, b, delays, 10e-9)
         for chunk in (1, 17, 1000, 10**7):
-            h = pair_histogram(a, b, delays, 10e-9, chunk_size=chunk)
+            with chunk_size(chunk):
+                h = pair_histogram(a, b, delays, 10e-9)
             assert np.array_equal(h.counts, base.counts)
-
-    def test_rejects_nonpositive_chunk(self):
-        a = poisson_stream("signal1", 1e6, 1e-4, 37)
-        b = poisson_stream("idler", 1e6, 1e-4, 38)
-        for chunk in (0, -1):
-            with pytest.raises(ValueError, match="chunk_size"):
-                pair_histogram(a, b, np.array([0.0]), 1e-9, chunk_size=chunk)
 
     def test_rejects_unsorted(self):
         # the counters trust EventStream's order check, so no unsorted
@@ -185,7 +191,8 @@ class TestTripleHistogram:
         delays = np.arange(-5, 6) * 50e-9
         base = triple_histogram(i, s1, s2, delays, 20e-9)
         for chunk in (1, 23, 4096):
-            h = triple_histogram(i, s1, s2, delays, 20e-9, chunk_size=chunk)
+            with chunk_size(chunk):
+                h = triple_histogram(i, s1, s2, delays, 20e-9)
             assert np.array_equal(h.counts, base.counts)
 
 
@@ -199,12 +206,12 @@ def _tick_stream(channel, ticks, duration):
     return EventStream(channel, np.array(sorted(ticks), dtype=np.int64), duration)
 
 
-def _chunk_kwargs(chunk, n_reference):
+def _chunked(chunk, n_reference):
+    """Count with the chunk of a ``_CHUNKS`` draw: a size, one past the
+    ``n_reference`` reference events, or the default."""
     if chunk == "default":
-        return {}
-    if chunk == "above":
-        return {"chunk_size": n_reference + 1}
-    return {"chunk_size": chunk}
+        return chunk_size(CHUNK_SIZE)
+    return chunk_size(n_reference + 1 if chunk == "above" else chunk)
 
 
 def _edge_hits(anchor, grid, tc, duration):
@@ -250,7 +257,8 @@ class TestCountingProperties:
         a = _tick_stream("signal1", ta, duration)
         b = _tick_stream("idler", tb, duration)
         delays, tauc = _seconds(grid, tc)
-        h = pair_histogram(a, b, delays, tauc, **_chunk_kwargs(chunk, len(a)))
+        with _chunked(chunk, len(a)):
+            h = pair_histogram(a, b, delays, tauc)
         ref = brute_pair_counts(a.timestamps, b.timestamps, delays, tauc)
         assert np.array_equal(h.counts, ref)
 
@@ -266,8 +274,8 @@ class TestCountingProperties:
         s1 = _tick_stream("signal1", ts1, duration)
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
-        h = triple_histogram(i, s1, s2, delays, tauc,
-                             **_chunk_kwargs(chunk, len(i)))
+        with _chunked(chunk, len(i)):
+            h = triple_histogram(i, s1, s2, delays, tauc)
         ref = brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
                                   delays, tauc)
         assert np.array_equal(h.counts, ref)
@@ -287,8 +295,9 @@ class TestCountingProperties:
         s1 = _tick_stream("signal1", ts1, duration)
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
-        pairs_s1, pairs_s2, triples = coincidence_histograms(
-            i, s1, s2, delays, tauc, **_chunk_kwargs(chunk, max(len(i), len(s1))))
+        with _chunked(chunk, max(len(i), len(s1))):
+            pairs_s1, pairs_s2, triples = coincidence_histograms(
+                i, s1, s2, delays, tauc)
         assert np.array_equal(
             pairs_s1.counts,
             brute_pair_counts(s1.timestamps, i.timestamps, delays, tauc))
@@ -309,10 +318,10 @@ class TestCountingProperties:
         lows, highs = _window_bounds(*_seconds(grid, tc))
         low = data.draw(st.integers(int(lows.min()), int(highs.max())))
         high = data.draw(st.integers(low, int(highs.max())))
-        chunk_size = _chunk_kwargs(chunk, ta.size).get("chunk_size", CHUNK_SIZE)
         out = np.zeros(tb.size, dtype=np.int64)
-        (counts,) = _edge_binned_counts(ta, tb, lows, highs, chunk_size,
-                                        occupancy=(low, high, out))
+        with _chunked(chunk, ta.size):
+            (counts,) = _edge_binned_counts(ta, tb, lows, highs,
+                                            occupancy=(low, high, out))
         d = ta[None, :] - tb[:, None]
         assert np.array_equal(out, np.sum((d >= low) & (d < high), axis=1))
         assert np.array_equal(counts, brute_pair_counts(ta, tb, *_seconds(grid, tc)))
@@ -387,9 +396,8 @@ class TestEstimators:
     def test_lookup_array_matches_nearest_point(self):
         grid = np.arange(-400, 401) * 5e-11
         queries = grid[::-7] * (1 + 1e-9)
-        for points in (grid, grid[::-1]):
-            want = [int(np.argmin(np.abs(points - x))) for x in queries]
-            assert _grid_index(points, queries).tolist() == want
+        want = [int(np.argmin(np.abs(grid - x))) for x in queries]
+        assert _grid_index(grid, queries).tolist() == want
         assert _grid_index(grid, queries[:0]).size == 0
         with pytest.raises(GridError):
             _grid_index(grid, np.append(queries, 1.23e-11))
@@ -461,7 +469,7 @@ class TestEstimators:
             1e-9,
         )
         with pytest.raises(ValueError):
-            estimate_g2bar_si(h, 0.0, 1e6)
+            estimate_g2bar_si(h, RateEstimate(0.0, 0.0), RateEstimate(1e6, 1e3))
 
     def test_empty_denominator_bins_flagged(self):
         i = stream("idler", [100e-9])
@@ -470,6 +478,6 @@ class TestEstimators:
         delays = np.array([0.0, 400e-9])
         tri = triple_histogram(i, s1, s2, delays, 1e-9)
         pair2 = pair_histogram(s2, i, delays, 1e-9)
-        est = estimate_gbar2_c(tri, 1e3, pair2, 1e3)
+        est = estimate_gbar2_c(tri, 1e3, pair2, RateEstimate(1e3, 30.0))
         assert np.isnan(est.values[0])  # no signal2 partner at zero delay
         assert np.isfinite(est.values[1])
