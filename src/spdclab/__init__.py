@@ -62,8 +62,7 @@ from .smearing import (
     build_kernel,
     gbar2c_analytic,
     predict_plateaus,
-    sample_g2_si,
-    smear_curve,
+    smear_g2_si,
     smear_surface,
 )
 

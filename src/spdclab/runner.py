@@ -156,22 +156,19 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     src = scenario.source
     window = scenario.window
     kernel = _scenario_kernel(scenario)
-    # sampled span from which the valid convolution still covers the grid
-    half_span = window.span + kernel.support_halfwidth + window.bin_width
-    curve = smearing.smear_curve(
-        smearing.sample_g2_si(src, window.bin_width, half_span), kernel
-    )
-    keep = np.abs(curve.delays) <= window.span + window.bin_width / 2
+    curve = smearing.smear_g2_si(src, kernel, window.delays())
     gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
     pred = smearing.predict_plateaus(src, kernel)
+    # sampled span from which the valid convolution still covers the grid
+    half_span = window.span + kernel.support_halfwidth + window.bin_width
     surface = smearing.smear_surface(src, kernel, half_span) if with_surface else None
 
     os.makedirs(outdir, exist_ok=True)
     out = {}
     write_curve_csv(_product(out, outdir, "kernel"), kernel.delays(),
                     kernel.samples, unit="per_s", scenario=scenario)
-    write_curve_csv(_product(out, outdir, "g2_si_smeared"), curve.delays[keep],
-                    curve.values[keep], unit=curve.unit, scenario=scenario)
+    write_curve_csv(_product(out, outdir, "g2_si_smeared"), curve.delays,
+                    curve.values, unit=curve.unit, scenario=scenario)
     write_curve_csv(_product(out, outdir, "gbar2_c_analytic"), gbar.delays,
                     gbar.values, unit=gbar.unit, scenario=scenario)
     _write_table(

@@ -14,7 +14,9 @@ plateau is X = p / R, i.e. X = 1/(2 R tau_c) whenever tau_c > tau_d.
 Sampling is area-preserving everywhere: kernels and model curves are stored
 as cell averages (differences of exact antiderivatives), so discrete
 convolution conserves peak integrals exactly even when a correlation peak is
-much narrower than the grid step.
+much narrower than the grid step.  C(t)^2 is smeared by one expression:
+``smear_g2_si``, the ridges of ``smear_surface`` and the normalization of
+``gbar2c_analytic`` all read it, so they agree bit for bit.
 """
 from __future__ import annotations
 
@@ -38,11 +40,10 @@ __all__ = [
     "ResponseKernel",
     "PlateauPrediction",
     "build_kernel",
-    "smear_curve",
+    "smear_g2_si",
     "smear_surface",
     "predict_plateaus",
     "gbar2c_analytic",
-    "sample_g2_si",
 ]
 
 _STEP_TOL = 1e-9
@@ -112,6 +113,8 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
         raise GridError("coincidence half-width must be > 0")
     if tau_d < 0:
         raise GridError("jitter must be >= 0")
+    if not grid_step > 0:
+        raise GridError(f"grid_step must be > 0, got {grid_step:g}")
     scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
     if grid_step > scale / 20 * (1 + _STEP_TOL):
         raise GridError(
@@ -134,28 +137,21 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
     return kernel
 
 
-def _check_step(step: float, kernel: ResponseKernel) -> None:
-    if abs(step - kernel.grid_step) > _STEP_TOL * kernel.grid_step:
-        raise GridError(
-            f"grid step {step:g} differs from the kernel grid {kernel.grid_step:g}"
-        )
-
-
-def smear_curve(curve: CorrelationCurve, kernel: ResponseKernel) -> CorrelationCurve:
-    """Discrete convolution of a sampled curve with the response kernel.
-
-    The curve must share the kernel's grid step (``GridError`` otherwise).
-    Returns the valid central region only: the output grid is the input grid
-    trimmed by the kernel half-support on each side, so the input span must
-    exceed twice the kernel support.
+def smear_g2_si(
+    params: SourceParams, kernel: ResponseKernel, delays
+) -> CorrelationCurve:
+    """Window-averaged g2_si at ``delays``: s + (K * C^2)(tau) / R^2, s the
+    kernel's discrete area, so every value beyond the peak's reach is s bit
+    for bit.  Each delay must be a point of the kernel grid (``GridError``
+    otherwise).
     """
-    _check_step(curve.step, kernel)
-    k = kernel.samples
-    if curve.values.size <= k.size:
-        raise GridError("curve span must exceed the kernel support")
-    values = _convolve(curve.values, k, "valid") * curve.step
+    delays = np.asarray(delays, dtype=float)
+    grid = _delay_grid(kernel, delays)
     m = kernel.half_len
-    return CorrelationCurve(curve.delays[m : curve.delays.size - m], values, curve.unit)
+    idx = _grid_index(grid[m : grid.size - m], delays)
+    c2_sm = _smeared_c2(params, kernel, grid)[idx]
+    values = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
+    return CorrelationCurve(delays, values, UNIT_DIMENSIONLESS)
 
 
 def smear_surface(
@@ -207,7 +203,7 @@ def _smeared_rows(
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
-    c2_sm = _convolve(_c2_cells(params, grid, h), k, "valid") * h
+    c2_sm = _smeared_c2(params, kernel, grid)
     ridge = r * s * c2_sm
     values = np.add.outer(r**3 * s**2 + ridge[rows], ridge)
 
@@ -284,12 +280,18 @@ def predict_plateaus(params: SourceParams, kernel: ResponseKernel) -> PlateauPre
 
 
 def _symmetric_grid(grid_step: float, half_span: float) -> np.ndarray:
-    if grid_step <= 0:
-        raise GridError("grid_step must be > 0")
     n = np.ceil(half_span / grid_step)
     if n < 1:
         raise GridError("half_span must cover at least one grid step")
     return symmetric_grid(n, grid_step)
+
+
+def _delay_grid(kernel: ResponseKernel, delays: np.ndarray) -> np.ndarray:
+    """The kernel grid over max |delay| + the kernel support + one step, from
+    which the valid convolution still covers every delay."""
+    max_tau = float(np.max(np.abs(delays))) if delays.size else 0.0
+    h = kernel.grid_step
+    return _symmetric_grid(h, max_tau + kernel.support_halfwidth + h)
 
 
 def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
@@ -301,18 +303,13 @@ def _c2_cells(params: SourceParams, grid: np.ndarray, step: float) -> np.ndarray
     return _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, step)
 
 
-def sample_g2_si(
-    params: SourceParams, grid_step: float, half_span: float
-) -> CorrelationCurve:
-    """Sample g2_si on a symmetric grid, conserving its excess integral.
-
-    Cell averaging keeps the integral of (g2_si - 1) at exactly 1/R on any
-    grid; a peak narrower than one cell collapses to a single-cell impulse
-    of the same weight, which is all a much wider response window can see.
-    """
-    grid = _symmetric_grid(grid_step, half_span)
-    values = 1.0 + _c2_cells(params, grid, grid_step) / params.pair_rate**2
-    return CorrelationCurve(grid, values, UNIT_DIMENSIONLESS)
+def _smeared_c2(
+    params: SourceParams, kernel: ResponseKernel, grid: np.ndarray
+) -> np.ndarray:
+    """The cell averages of C(t)^2 on ``grid`` smeared once by the kernel,
+    on the valid region: ``grid`` less the kernel half-length at each end."""
+    h = kernel.grid_step
+    return _convolve(_c2_cells(params, grid, h), kernel.samples, "valid") * h
 
 
 def _ccr_block(
@@ -326,14 +323,14 @@ def _ccr_block(
     Rows are kept for the cells within ``reach`` of zero.  Returns the
     indices on ``grid`` of the block's first row and first column and the
     block; every cell outside it is zero or, beyond ``reach``, not computed.
-    A row temporary past ``MAX_GRID_POINTS`` elements, or rows past
-    ``MAX_CONVOLVE_WORK`` multiply-adds in all, raise ``GuardError`` before
-    the first row.
+    Subsamples of the cells past ``MAX_GRID_POINTS``, a row temporary past
+    that, or rows past ``MAX_CONVOLVE_WORK`` multiply-adds in all, raise
+    ``GuardError`` before they are formed.
     """
-    dt = params.coherence_time
-    m = max(8, int(np.ceil(16 * step / dt)))
-    offs = ((np.arange(m) + 0.5) / m - 0.5) * step
     idx = np.nonzero(np.abs(grid) <= model.support(params) + step)[0]
+    m = max(8.0, np.ceil(16 * step / params.coherence_time))  # subsamples per cell
+    guard("central block subsamples", idx.size * m, MAX_GRID_POINTS)
+    offs = ((np.arange(int(m)) + 0.5) / m - 0.5) * step
     points = grid[idx, None] + offs  # subsample points of each cell
     cross = model.cross_correlation(params, points)
     live = np.any(cross, axis=0)
@@ -371,13 +368,11 @@ def gbar2c_analytic(
     otherwise); no n^2 array is formed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    h = kernel.grid_step
     m = kernel.half_len
-    max_tau = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
-    grid = _symmetric_grid(h, max_tau + kernel.support_halfwidth + 2 * h)
+    grid = _delay_grid(kernel, tau_grid)
     i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
     row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
     idx = _grid_index(grid[m : grid.size - m], tau_grid)
-    g2 = kernel.samples.sum() * h + c2_sm / params.pair_rate**2
+    g2 = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
     values = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
     return CorrelationCurve(tau_grid, values, UNIT_DIMENSIONLESS)

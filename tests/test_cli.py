@@ -1,11 +1,17 @@
 import concurrent.futures
+import contextlib
+import io
 import os
 import re
+import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdclab import (
     CHANNELS,
@@ -23,6 +29,7 @@ from spdclab.runner import (
     write_curve_csv,
     write_surface_csv,
 )
+from spdclab.scenario import _ALL_KEYS
 
 from _oracles import raw_evt, surface_csv_body
 
@@ -64,6 +71,13 @@ def non_curves(tmp_path_factory):
     (root / "not_a_number.csv").write_text("delay_s,value\n1e-9,abc\n")
     (root / "empty.csv").write_text("")
     return root
+
+
+#: values the scenario fuzz draws: each is refused or makes a cheap run of
+#: the desk scenario at a 1e-5 s duration (at most 2e2 pairs)
+_FUZZ_VALUES = ("0", "-1", "1e-300", "1e-20", "1e-12", "1e300", "1e103", "inf",
+                "nan", "abc")
+_FUZZ_COMMANDS = ("analytic", "smear", "smear --surface", "simulate", "count")
 
 
 class TestScenarioParsing:
@@ -260,6 +274,14 @@ class TestCliCommands:
             ("smear --surface", {"window.span_s": "3e-7"}),
             # a central block of 2e5 cells by 8 x 8 subsamples in each row
             ("smear", {"source.coherence_time_s": "1e-5", "window.span_s": "2e-5"}),
+            # 8e10 and 8e290 subsamples in each of the 3 central block cells
+            ("smear", {"source.coherence_time_s": "1e-20"}),
+            ("smear", {"source.coherence_time_s": "1e-300"}),
+            # R^3 past the largest float
+            ("analytic", {"source.rate_hz": "1e103"}),
+            ("analytic", {"source.rate_hz": "1e300"}),
+            ("smear", {"source.rate_hz": "1e103"}),
+            ("smear", {"source.rate_hz": "1e300"}),
         ]
     ])
     def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command,
@@ -285,6 +307,44 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith(("config error: ", "guard tripped: "))
         # no partial product set, not even a temporary file
         assert not [*out.glob("*.csv"), *out.glob("*.tmp")]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(key=st.sampled_from(_ALL_KEYS), value=st.sampled_from(_FUZZ_VALUES),
+           command=st.sampled_from(_FUZZ_COMMANDS))
+    @example(key="source.coherence_time_s", value="1e-20", command="smear")
+    @example(key="source.coherence_time_s", value="1e-300", command="smear")
+    @example(key="source.rate_hz", value="1e103", command="analytic")
+    @example(key="source.rate_hz", value="1e300", command="smear")
+    def test_scenario_fuzz(self, key, value, command):
+        # one extreme value of one key of the desk scenario, kept small by a
+        # 1e-5 s run: a clean exit, or one error line and no product
+        text = re.sub(r"^run\.duration_s\s*=.*$", "run.duration_s = 1e-5",
+                      DESK_CONFIG, flags=re.M)
+        text = re.sub(rf"^{re.escape(key)}\s*=.*$", "", text, flags=re.M)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "fuzz.ini"
+            config.write_text(f"{text}{key} = {value}\n")
+            evt = Path(tmp) / "ok.evt"
+            evt.write_bytes(raw_evt((0, 10**12, [5]), (1, 10**12, [1]),
+                                    (2, 10**12, [2])))
+            command, *flags = command.split()
+            out = Path(tmp) / "out"
+            args = [command, str(config),
+                    *([str(evt)] if command == "count" else []), "-o", str(out),
+                    *flags]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("ignore")
+                code = main(args)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3), lines
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert len(lines) == 1, lines
+                assert lines[0].startswith(("error: ", "config error: ",
+                                            "guard tripped: "))
+                assert not [*out.glob("*.csv"), *out.glob("*.tmp")]
 
     @pytest.mark.parametrize("duration", ["1e4", "1e5"])
     def test_duration_beyond_int64_ticks(self, tmp_path, capsys, duration):

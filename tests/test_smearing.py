@@ -8,12 +8,10 @@ from spdclab import (
     build_kernel,
     gbar2c_analytic,
     predict_plateaus,
-    sample_g2_si,
-    smear_curve,
+    smear_g2_si,
     smear_surface,
 )
-from spdclab import model
-from spdclab.curves import CorrelationCurve
+from spdclab import model, smearing
 
 from _oracles import dense_p_ssi, dense_smear_surface, numeric_smear
 
@@ -57,6 +55,16 @@ class TestBuildKernel:
         with pytest.raises(GridError):
             build_kernel(1.5e-9, 0.0, 1e-10)
         build_kernel(1.5e-9, 0.0, 7.5e-11)  # exactly tau_c / 20 is fine
+        for step in (-5e-11, 0.0, np.nan):
+            with pytest.raises(GridError, match="grid_step"):
+                build_kernel(1.5e-9, 0.35e-9, step)
+
+
+def _raw_g2_si(p, step, half_n):
+    """g2_si as cell averages of 1 + C^2/R^2 on arange(-half_n, half_n + 1) * step."""
+    grid = np.arange(-half_n, half_n + 1) * step
+    c2 = smearing._cell_average(lambda t: model.cross_sq_cumulative(p, t), grid, step)
+    return grid, 1.0 + c2 / p.pair_rate**2
 
 
 class TestSmearCurve:
@@ -64,25 +72,31 @@ class TestSmearCurve:
         # R = 43 MHz, mu = 1.4e-5, tau_c = 1.5 ns: plateau 1 + 1/(2 R tau_c)
         p = SourceParams(4.3e7, 1.4e-5 / 4.3e7)
         k = build_kernel(1.5e-9, 0.0, 5e-11)
-        curve = smear_curve(sample_g2_si(p, 5e-11, 4e-9), k)
+        curve = smear_g2_si(p, k, np.arange(-49, 50) * 5e-11)
         x = 7.751937984496124
         inside = np.abs(curve.delays) <= 1.4e-9
         assert np.allclose(curve.values[inside], 1 + x, rtol=1e-9)
         outside = np.abs(curve.delays) >= 1.6e-9
         assert np.allclose(curve.values[outside], 1.0, rtol=1e-9)
 
-    def test_constant_curve_unchanged(self):
-        k = build_kernel(2e-9, 0.5e-9, 2e-11)
-        grid = np.arange(-400, 401) * 2e-11
-        flat = CorrelationCurve(grid, np.ones(grid.size))
-        out = smear_curve(flat, k)
-        assert np.allclose(out.values, 1.0, rtol=1e-13)
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_far_values_equal_kernel_area(self, shape):
+        # beyond the peak's reach the smeared C^2 is exactly zero, so every
+        # value is the kernel's discrete area s, bit for bit
+        p = SourceParams(2e7, 1e-9, shape)
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        curve = smear_g2_si(p, k, np.arange(-400, 401) * 5e-11)
+        s = k.samples.sum() * k.grid_step
+        reach = model.support(p) + k.support_halfwidth + k.grid_step
+        far = np.abs(curve.delays) > reach
+        assert np.count_nonzero(far) > curve.values.size // 2
+        assert np.all(curve.values[far].view(np.int64) == np.float64(s).view(np.int64))
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_plateau_shape_blind(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
-        curve = smear_curve(sample_g2_si(p, 5e-10, 3.2e-7), k)
+        curve = smear_g2_si(p, k, np.arange(-389, 390) * 5e-10)
         x = k.plateau_height / p.pair_rate
         inside = np.abs(curve.delays) <= 7e-8
         assert np.allclose(curve.values[inside], 1 + x, rtol=1e-10)
@@ -91,17 +105,18 @@ class TestSmearCurve:
         pb = SourceParams(2e7, 1e-9, "box")
         pt = SourceParams(2e7, 1e-9, "triangle")
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
-        cb = smear_curve(sample_g2_si(pb, 5e-10, 3.2e-7), k)
-        ct = smear_curve(sample_g2_si(pt, 5e-10, 3.2e-7), k)
+        delays = np.arange(-389, 390) * 5e-10
+        cb = smear_g2_si(pb, k, delays)
+        ct = smear_g2_si(pt, k, delays)
         assert np.max(np.abs(cb.values - ct.values) / cb.values) < 1e-3
 
     def test_excess_integral_conserved(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
-        raw = sample_g2_si(p, 5e-10, 3.2e-7)
-        out = smear_curve(raw, k)
+        _, raw = _raw_g2_si(p, 5e-10, 640)
+        out = smear_g2_si(p, k, np.arange(-389, 390) * 5e-10)
         target = 1.0 / p.pair_rate
-        raw_excess = np.sum(raw.values - 1) * raw.step
+        raw_excess = np.sum(raw - 1) * 5e-10
         out_excess = np.sum(out.values - 1) * out.step
         assert raw_excess == pytest.approx(target, rel=1e-12)
         assert out_excess == pytest.approx(target, rel=1e-6)
@@ -109,35 +124,25 @@ class TestSmearCurve:
     def test_matches_naive_convolution(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 4e-11)
-        curve = sample_g2_si(p, 4e-11, 1.4e-8)
-        out = smear_curve(curve, k)
-        d_ref, v_ref = numeric_smear(curve.delays, curve.values, k.samples,
-                                     curve.step)
+        grid, raw = _raw_g2_si(p, 4e-11, 350)
+        d_ref, v_ref = numeric_smear(grid, raw, k.samples, 4e-11)
+        out = smear_g2_si(p, k, d_ref)
         assert np.array_equal(out.delays, d_ref)
         assert np.allclose(out.values, v_ref, rtol=1e-12, atol=0)
 
-    def test_rejects_finer_curve(self):
+    def test_off_grid_delays_rejected(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)
-        with pytest.raises(GridError, match="kernel grid"):
-            smear_curve(sample_g2_si(p, 2.5e-11, 2e-8), k)
+        with pytest.raises(GridError, match="not a point of the grid"):
+            smear_g2_si(p, k, np.array([0.0, 1.23e-11]))
+
+    def test_rejects_finer_curve(self):
         # smear_surface samples on the kernel grid itself; the dense oracle
         # it is checked against refuses a surface on another grid
+        p = SourceParams(2e7, 1e-9)
         with pytest.raises(GridError, match="kernel grid"):
             dense_smear_surface(dense_p_ssi(p, 2.5e-11, 3e-9),
                                 build_kernel(1e-9, 0.0, 5e-11))
-
-    def test_rejects_coarser_curve(self):
-        p = SourceParams(2e7, 1e-9)
-        k = build_kernel(5e-9, 1e-9, 2e-11)
-        with pytest.raises(GridError):
-            smear_curve(sample_g2_si(p, 4e-11, 2e-8), k)
-
-    def test_rejects_short_curve(self):
-        p = SourceParams(2e7, 1e-9)
-        k = build_kernel(5e-9, 1e-9, 2e-11)
-        with pytest.raises(GridError):
-            smear_curve(sample_g2_si(p, 2e-11, 5e-9), k)
 
 
 class TestPredictPlateaus:
@@ -220,8 +225,6 @@ class TestSmearSurface:
     def test_central_block_memory_bounded_at_short_coherence(self):
         import tracemalloc
 
-        from spdclab import smearing
-
         # dt = 0.5 ps on the desk grid: 1600 subsamples per cell and axis, of
         # which only the few where C is nonzero are kept
         p = SourceParams(2e7, 5e-13)
@@ -239,8 +242,6 @@ class TestSmearSurface:
 
     def test_central_block_guard_at_long_coherence(self):
         import tracemalloc
-
-        from spdclab import smearing
 
         # dt = 10 us on the desk grid over a 20 us span: 2e5 block cells with
         # 8 live subsamples each, so one block row would form temporaries of
@@ -310,11 +311,12 @@ class TestGbar2cAnalytic:
         # oracle: the t1 = 0 row of the smeared surface over R^3 and the
         # smeared g2_si at 0 and at tau
         sm = smear_surface(p, k, 2.0e-8)
-        g2_sm = smear_curve(sample_g2_si(p, step, 2.0e-8), k)
+        g2_delays, g2_sm = numeric_smear(*_raw_g2_si(p, step, 400), k.samples, step)
         row = sm.values[np.argmin(np.abs(sm.t1))]
         oracle = np.array([
             row[np.argmin(np.abs(sm.t2 - tau))] / p.pair_rate**3
-            / (g2_sm.value_at(0.0) * g2_sm.value_at(tau))
+            / (g2_sm[np.argmin(np.abs(g2_delays))]
+               * g2_sm[np.argmin(np.abs(g2_delays - tau))])
             for tau in taus
         ])
         assert np.max(np.abs(curve.values - oracle) / oracle) <= 1e-12
@@ -380,8 +382,9 @@ class TestSamplers:
     def test_g2si_excess_integral_any_grid(self, shape, step_frac):
         p = SourceParams(2e7, 1e-9, shape)
         step = step_frac * p.coherence_time
-        curve = sample_g2_si(p, step, max(40 * step, 4 * p.coherence_time))
-        total = np.sum(curve.values - 1) * step
+        half_n = np.ceil(max(40 * step, 4 * p.coherence_time) / step)
+        grid = np.arange(-half_n, half_n + 1) * step
+        total = np.sum(smearing._c2_cells(p, grid, step)) * step / p.pair_rate**2
         assert total == pytest.approx(1 / p.pair_rate, rel=1e-12)
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
