@@ -47,7 +47,7 @@ __all__ = [
     "g2_c",
     "limit_ratios",
     "cross_sq_cumulative",
-    "auto_sq_antider2",
+    "auto_antider2",
 ]
 
 #: multiple of the coherence time treated as "infinitely" large when
@@ -219,23 +219,20 @@ def cross_sq_cumulative(params: SourceParams, tau):
     return out if out.ndim else float(out)
 
 
-def auto_sq_antider2(params: SourceParams, tau):
-    """Second antiderivative Q(tau) of R(u)^2 with Q(0) = Q'(0) = 0.
+def auto_antider2(params: SourceParams, tau, power):
+    """Second antiderivative P(tau) of R(u)^power with P(0) = P'(0) = 0.
 
-    Even by construction.  Second central differences of Q give exact cell
-    averages of R(t1-t2)^2 over square grid cells, which keeps the discrete
-    integral of the diagonal correlation ridge exact on any grid.
+    Even, and linear beyond the support.  Mixed second differences of P are
+    exact integrals of R(t1-t2)^power over rectangles, so the diagonal ridge
+    (power 2) and the central triple term (power 1) keep exact integrals.
     """
-    tau = np.asarray(tau, dtype=float)
-    r, dt = params.pair_rate, params.coherence_time
-    u = np.abs(tau)
+    u = np.abs(np.asarray(tau, dtype=float))
+    s = support(params)
+    v, outer = np.minimum(u, s), np.clip(u - s, 0.0, None)
     if params.shape == "box":
-        inner = np.square(np.minimum(u, dt / 2)) / 2
-        outer = np.clip(u - dt / 2, 0.0, None) * (dt / 2)
-        out = r**2 * (inner + outer)
+        out = np.square(v) / 2 + outer * s
     else:
-        v = np.minimum(u, dt)
-        inner = (dt / 3) * (v + (dt / 4) * ((1.0 - v / dt) ** 4 - 1.0))
-        outer = np.clip(u - dt, 0.0, None) * (dt / 3)
-        out = r**2 * (inner + outer)
+        k1, k2 = power + 1, power + 2
+        out = (s / k1) * (v + (s / k2) * ((1.0 - v / s) ** k2 - 1.0)) + outer * (s / k1)
+    out = params.pair_rate**power * out
     return out if out.ndim else float(out)

@@ -29,8 +29,8 @@ MAX_GRID_POINTS = 10**7
 #: about 43 bytes per pair (856 MB at 2e7 pairs), so 4.3 GB at the limit
 MAX_PAIRS = 10**8
 
-#: largest pair rate R whose cube R^3, the triple-rate scale, is a finite float
-MAX_PAIR_RATE = 5.6e102
+#: pair rates R whose cube R^3, the triple-rate scale, is a normal float
+MIN_PAIR_RATE, MAX_PAIR_RATE = 2.9e-103, 5.6e102
 
 #: refuse to allocate smeared surfaces beyond this cell count
 MAX_SURFACE_CELLS = 10**8
@@ -75,9 +75,9 @@ class SourceParams:
     shape: Shape = "box"
 
     def __post_init__(self) -> None:
-        if not 0 < self.pair_rate <= MAX_PAIR_RATE:
-            raise ConfigError(f"pair_rate must lie in (0, {MAX_PAIR_RATE:g}] so that "
-                              f"R^3 is a finite float, got {self.pair_rate}")
+        if not MIN_PAIR_RATE <= self.pair_rate <= MAX_PAIR_RATE:
+            raise ConfigError(f"pair_rate {self.pair_rate} outside [{MIN_PAIR_RATE:g}, "
+                              f"{MAX_PAIR_RATE:g}], where R^3 is a normal float")
         if not self.coherence_time > 0:
             raise ConfigError(
                 f"coherence_time must be > 0, got {self.coherence_time}"

@@ -33,8 +33,8 @@ from .curves import (
     CorrelationSurface,
     _grid_index,
 )
-from .params import (MAX_CONVOLVE_WORK, MAX_GRID_POINTS, MAX_SURFACE_CELLS, GridError,
-                     SourceParams, guard, symmetric_grid)
+from .params import (MAX_CONVOLVE_WORK, MAX_SURFACE_CELLS, GridError, SourceParams,
+                     guard, symmetric_grid)
 
 __all__ = [
     "ResponseKernel",
@@ -162,7 +162,7 @@ def smear_surface(
     The rate is stored as cell averages on the kernel grid over
     ``half_span``: the constant R^3, the two signal-idler ridges R C(t)^2
     and the signal-signal diagonal R R(t1 - t2)^2 as exact differences of
-    their antiderivatives, the narrow central term 2 R C C R subsampled.
+    their antiderivatives, the narrow central term 2 R C C R from subcell integrals.
     That surface is convolved with the kernel along both axes: the square
     two-dimensional averaging window (area (2 tau_c)^2 with transition
     regions 2 tau_d) acting on the triple rate.  Only the valid region is
@@ -190,7 +190,7 @@ def _smeared_rows(
     """Output rows ``rows`` (t1 on the valid region of ``grid``, all t2) of
     the smeared triple rate, and the cell averages of C(t)^2 smeared once.
 
-    Memory is O(n) plus the rows asked for and the central block.
+    Memory is O(n) plus the rows asked for and their central block rows.
     """
     h = kernel.grid_step
     k = kernel.samples
@@ -211,26 +211,28 @@ def _smeared_rows(
     # where the second antiderivative is linear, smeared by the kernel's
     # autocorrelation; row i, column j of the result reads lag i - j
     lags = np.arange(1 - n, n) * h
-    q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
+    q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
     a[np.abs(lags) >= model.support(params) + h] = 0.0
     g = r * _convolve(a, _convolve(k, k) * h**2, "valid")
     values += sliding_window_view(g[::-1], n_out)[::-1][rows]
 
     # central term: its block rows within the kernel's reach of the rows asked
-    # for, weighted by the kernel along t1, then convolved in full along t2;
+    # for, weighted by the kernel along t1 onto the rows asked for from lo on
+    # (block row i reaches i - 2m .. i), then convolved in full along t2;
     # full column v lands on output column v + col0 - 2m
+    lo = lambda i: max(rows.start, i - 2 * m)  # noqa: E731
+
+    def weights(i):
+        lag = np.arange(lo(i[0]), min(rows.stop, i[-1] + 1))[:, None] + 2 * m - i
+        return np.where(np.abs(lag - m) <= m, k[lag.clip(0, 2 * m)], 0.0)
+
     reach = np.max(np.abs(grid[m : n - m][rows])) + (m + 0.5) * h
-    row0, col0, block = _ccr_block(params, grid, h, reach)
-    lo, hi = max(rows.start, row0 - 2 * m), min(rows.stop, row0 + block.shape[0])
-    lag = np.arange(lo, hi)[:, None] + 2 * m - row0 - np.arange(block.shape[0])
-    weights = np.where(np.abs(lag - m) <= m, k[lag.clip(0, 2 * m)], 0.0)
-    centre = _convolve(weights @ block, k) * h**2
-    at = col0 - 2 * m
+    row0, col0, block = _ccr_block(params, grid, h, reach, weights)
+    centre = _convolve(block, k) * h**2
+    at, top = col0 - 2 * m, lo(row0) - rows.start
     first, last = max(0, -at), min(centre.shape[1], n_out - at)
-    values[lo - rows.start : hi - rows.start, at + first : at + last] += (
-        centre[:, first:last]
-    )
+    values[top : top + len(centre), at + first : at + last] += centre[:, first:last]
     return values, c2_sm
 
 
@@ -313,41 +315,42 @@ def _smeared_c2(
 
 
 def _ccr_block(
-    params: SourceParams, grid: np.ndarray, step: float, reach: float = np.inf
+    params: SourceParams, grid: np.ndarray, step: float, reach=np.inf, weights=None
 ) -> tuple[int, int, np.ndarray]:
     """Cell averages of the genuine triple term 2 C(a) C(b) R(a-b).
 
-    The term lives on the tiny square |a|, |b| <= dt around the origin, so
-    only the few cells touching it are subsampled, and only at the subsample
-    offsets where C is nonzero in some cell: the others add exact zeros.
-    Rows are kept for the cells within ``reach`` of zero.  Returns the
-    indices on ``grid`` of the block's first row and first column and the
-    block; every cell outside it is zero or, beyond ``reach``, not computed.
-    Subsamples of the cells past ``MAX_GRID_POINTS``, a row temporary past
-    that, or rows past ``MAX_CONVOLVE_WORK`` multiply-adds in all, raise
-    ``GuardError`` before they are formed.
+    The term lives on |a|, |b| <= s, s the peak support, so only the cells
+    touching that square form the block.  Each cell is clipped to the support
+    and cut into m subcells, no wider than dt/400 up to m = 16; C is taken at
+    their centres and R(a-b) is integrated exactly over each pair of subcells
+    by mixed second differences of its second antiderivative, summed by parts
+    over the steps of C at the (m + 1)^2 pairs of edges.  On the box, where C
+    is constant on the support, every cell is exact.  Rows are kept for the
+    cells within ``reach`` of zero.  Returns the indices on ``grid`` of the
+    first row and column and the block (zero outside it), or, if ``weights``
+    maps the rows' indices on ``grid`` to a matrix with a column per row,
+    ``weights @ block``, built row by row.  Rows x cells x (m + 1)^2 past
+    ``MAX_CONVOLVE_WORK`` raise ``GuardError`` before any row is formed.
     """
-    idx = np.nonzero(np.abs(grid) <= model.support(params) + step)[0]
-    m = max(8.0, np.ceil(16 * step / params.coherence_time))  # subsamples per cell
-    guard("central block subsamples", idx.size * m, MAX_GRID_POINTS)
-    offs = ((np.arange(int(m)) + 0.5) / m - 0.5) * step
-    points = grid[idx, None] + offs  # subsample points of each cell
-    cross = model.cross_correlation(params, points)
-    live = np.any(cross, axis=0)
+    s = model.support(params)
+    idx = np.nonzero(np.abs(grid) <= s + step)[0]
     rows = np.nonzero(np.abs(grid[idx]) <= reach)[0]
-    # each block row forms (live offsets, cells, live offsets) temporaries
-    per_row = idx.size * np.count_nonzero(live) ** 2
-    guard("central block row elements", per_row, MAX_GRID_POINTS)
-    guard("central block multiply-adds", rows.size * per_row, MAX_CONVOLVE_WORK)
-    points, cross = points[:, live], cross[:, live]
-    out = np.zeros((rows.size, idx.size))
-    # one block row at a time: cell u against every cell v
-    for u, (pa, ca) in enumerate(zip(points[rows], cross[rows])):
-        if not np.any(ca):
-            continue
-        r12 = model.auto_correlation(params, pa[:, None] - points[:, None, :])
-        total = np.sum(ca[:, None] * cross[:, None, :] * r12, axis=(1, 2))
-        out[u] = 2.0 * total / m**2
+    m = int(np.clip(np.ceil(400 * min(step, 2 * s) / params.coherence_time), 1, 16))
+    guard("central block work", rows.size * idx.size * (m + 1) ** 2, MAX_CONVOLVE_WORK)
+    lo, hi = np.split(np.clip(grid[idx, None] + [-step / 2, step / 2], -s, s), 2, 1)
+    edges = lo + (hi - lo) * (np.arange(m + 1) / m)
+    cross = model.cross_correlation(params, (edges[:, 1:] + edges[:, :-1]) / 2)
+    # steps of C across the edges, C zero off the clipped cell and on an empty one
+    steps = np.diff(cross * (hi > lo), prepend=0.0, append=0.0)
+    w = (np.eye(rows.size) if weights is None else weights(idx[rows])) * (-2 / step**2)
+    out = np.zeros((w.shape[0], idx.size))
+    for j, i in enumerate(rows):
+        p1 = model.auto_antider2(params, edges[i, :, None, None] - edges, 1)
+        # cells farther apart than s + step are exact zeros, not rounding residue
+        row = np.einsum("p,pvq,vq->v", steps[i], p1, steps)
+        row *= np.abs(grid[idx] - grid[idx[i]]) < s + step
+        used = np.nonzero(w[:, j])[0]
+        out[used] += w[used, j, None] * row
     return int(idx[rows[0]]), int(idx[0]), out
 
 

@@ -1,16 +1,22 @@
-"""Golden digests of the products whose bytes do not depend on the platform.
+"""Golden digests of the products whose bytes do not depend on the platform,
+and golden values of the 1D ``smear`` products, whose last bits may.
 
 The README desk scenario at ``run.duration_s = 0.01``, for each peak shape
 (box, triangle) and each source model (poisson, thermal), runs through
 ``analytic``, ``simulate`` and ``count``; per shape, ``compare`` then sets
 the thermal conditioned curve against the Poisson one.  Each CSV body is
 hashed with its ``# generated_at`` line removed, each ``.evt`` file whole.
+``smear`` reads no ``run.model``, so one desk scenario per shape covers
+it; its four 1D products are recorded as parsed values.  The surface
+``p_ssi_smeared.csv`` is left out: its t1 = 0 row is built by the code that
+builds ``gbar2_c_analytic.csv``.
 
-After a declared change of a product body, rewrite the recorded digests with
+After a declared change of a product body, rewrite the recorded digests and
+values with
 
     PYTHONPATH=src python tests/_golden.py
 
-and name every digest that changed, and why, in CHANGES.md.
+and name every digest or value file that changed, and why, in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -28,6 +34,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+SMEAR_VALUES = DIGESTS.with_name("smear_values.json")
+SMEAR_PRODUCTS = ("kernel.csv", "g2_si_smeared.csv", "gbar2_c_analytic.csv",
+                  "plateaus.csv")
 DURATION_S = "0.01"
 
 
@@ -93,12 +102,53 @@ def digests(workdir) -> dict[str, str]:
             if path.suffix in (".csv", ".evt")}
 
 
+def csv_rows(path) -> list[list]:
+    """The rows below a product CSV's column header, each field a float
+    where it parses as one and its text otherwise."""
+    def field(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    lines = [line for line in Path(path).read_text().splitlines()
+             if not line.startswith("#")]
+    return [[field(text) for text in line.split(",")] for line in lines[1:]]
+
+
+def smear_values(workdir) -> dict[str, dict[str, list[list]]]:
+    """Run ``smear`` on the desk scenario of each shape in ``workdir`` and
+    return the rows of its 1D products, keyed by shape and file name."""
+    workdir = Path(workdir)
+    out = {}
+    for shape in ("box", "triangle"):
+        ini = workdir / f"{shape}-smear.ini"
+        ini.write_text(_set(desk_scenario(), "source.shape", shape))
+        _run("smear", str(ini), "-o", str(workdir / f"{shape}-smear"))
+        out[shape] = {name: csv_rows(workdir / f"{shape}-smear" / name)
+                      for name in SMEAR_PRODUCTS}
+    return out
+
+
+def _dump_rows(values) -> str:
+    """``values`` as JSON with one CSV row per line."""
+    return "{\n" + ",\n".join(
+        f" {json.dumps(shape)}: {{\n" + ",\n".join(
+            f"  {json.dumps(name)}: [\n"
+            + ",\n".join(f"   {json.dumps(row)}" for row in rows) + "\n  ]"
+            for name, rows in files.items()) + "\n }"
+        for shape, files in values.items()) + "\n}\n"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         record = {"numpy_major": numpy_major(), "digests": digests(workdir)}
+        values = smear_values(workdir)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"{len(record['digests'])} digests written to {DIGESTS}", file=sys.stderr)
+    SMEAR_VALUES.write_text(_dump_rows(values))
+    print(f"{len(record['digests'])} digests written to {DIGESTS}, smear values "
+          f"to {SMEAR_VALUES}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ def dense_p_ssi(params, step, half_span):
     """Triple rate P(t1-ti, t2-ti) as cell averages on the full square grid,
     one matrix expression over every cell: the constant, the two
     signal-idler ridges and the signal-signal diagonal from their exact
-    antiderivatives, the central term from the library's subsampled block."""
+    antiderivatives, the central term from the library's block."""
     from spdclab import model, smearing
     from spdclab.curves import UNIT_PER_S3, CorrelationSurface
     from spdclab.params import symmetric_grid
@@ -98,13 +98,30 @@ def dense_p_ssi(params, step, half_span):
     c2 = smearing._cell_average(
         lambda t: model.cross_sq_cumulative(params, t), grid, step)
     diff = grid[:, None] - grid[None, :]
-    q2 = lambda t: model.auto_sq_antider2(params, t)  # noqa: E731
+    q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
     row0, col0, block = smearing._ccr_block(params, grid, step)
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
     return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
+
+
+def hexagon_cell_areas(a, b, step, half):
+    """Area of each grid cell [a -+ step/2] x [b -+ step/2] inside the
+    hexagon |a|, |b|, |a - b| <= half: the cell clipped to the square
+    |a|, |b| <= half, less its corners beyond a - b = half and b - a = half,
+    each the four-corner sum of G(x) = max(x, 0)^2 / 2."""
+    a0 = np.clip(np.asarray(a)[:, None] - step / 2, -half, half)
+    a1 = np.clip(np.asarray(a)[:, None] + step / 2, -half, half)
+    b0 = np.clip(np.asarray(b)[None, :] - step / 2, -half, half)
+    b1 = np.clip(np.asarray(b)[None, :] + step / 2, -half, half)
+
+    def beyond(x0, x1, y0, y1):  # area of x - y > half in [x0, x1] x [y0, y1]
+        g = lambda x, y: np.maximum(x - y - half, 0.0) ** 2 / 2  # noqa: E731
+        return g(x1, y0) - g(x0, y0) - g(x1, y1) + g(x0, y1)
+
+    return (a1 - a0) * (b1 - b0) - beyond(a0, a1, b0, b1) - beyond(b0, b1, a0, a1)
 
 
 def dense_smear_surface(surface, kernel):

@@ -272,16 +272,14 @@ class TestCliCommands:
                        "window.bin_s": "1e3"}),
             # the delay grid widened by the kernel: 1.5e8 surface cells
             ("smear --surface", {"window.span_s": "3e-7"}),
-            # a central block of 2e5 cells by 8 x 8 subsamples in each row
-            ("smear", {"source.coherence_time_s": "1e-5", "window.span_s": "2e-5"}),
-            # 8e10 and 8e290 subsamples in each of the 3 central block cells
-            ("smear", {"source.coherence_time_s": "1e-20"}),
-            ("smear", {"source.coherence_time_s": "1e-300"}),
             # R^3 past the largest float
             ("analytic", {"source.rate_hz": "1e103"}),
             ("analytic", {"source.rate_hz": "1e300"}),
             ("smear", {"source.rate_hz": "1e103"}),
             ("smear", {"source.rate_hz": "1e300"}),
+            # R^3 below the smallest normal float
+            ("analytic", {"source.rate_hz": "1e-300"}),
+            ("smear", {"source.rate_hz": "1e-300"}),
         ]
     ])
     def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command,
@@ -308,6 +306,35 @@ class TestCliCommands:
         # no partial product set, not even a temporary file
         assert not [*out.glob("*.csv"), *out.glob("*.tmp")]
 
+    @pytest.mark.parametrize("shape, overrides", [
+        pytest.param(shape, overrides, id="-".join([shape, *overrides.values()]))
+        for shape, overrides in [
+            # a central block of 2e5 cells, one subcell each, by 243 rows
+            ("box", {"source.coherence_time_s": "1e-5", "window.span_s": "2e-5"}),
+            # the whole peak inside the centre cell, 16 subcells on each axis
+            *[(shape, {"source.coherence_time_s": dt})
+              for shape in ("box", "triangle") for dt in ("1e-20", "1e-300")],
+        ]
+    ])
+    def test_extreme_coherence_time_smears_finite(self, tmp_path, shape, overrides):
+        text = re.sub(r"^source\.shape\s*=.*$", f"source.shape = {shape}",
+                      DESK_CONFIG, flags=re.M)
+        for key, value in overrides.items():
+            text = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text,
+                          flags=re.M)
+        config = tmp_path / "extreme.ini"
+        config.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mu >= 0.1 at dt = 1e-5 s
+            assert main(["smear", str(config), "-o", str(out)]) == 0
+        products = sorted(out.glob("*.csv"))
+        assert len(products) == 4
+        for path in products:
+            body = [line for line in path.read_text().splitlines()[1:]
+                    if not line.startswith("#")]
+            assert body and not re.search("nan|inf", "\n".join(body)), path.name
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(key=st.sampled_from(_ALL_KEYS), value=st.sampled_from(_FUZZ_VALUES),
            command=st.sampled_from(_FUZZ_COMMANDS))
@@ -315,6 +342,7 @@ class TestCliCommands:
     @example(key="source.coherence_time_s", value="1e-300", command="smear")
     @example(key="source.rate_hz", value="1e103", command="analytic")
     @example(key="source.rate_hz", value="1e300", command="smear")
+    @example(key="source.rate_hz", value="1e-300", command="analytic")
     def test_scenario_fuzz(self, key, value, command):
         # one extreme value of one key of the desk scenario, kept small by a
         # 1e-5 s run: a clean exit, or one error line and no product

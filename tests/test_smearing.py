@@ -13,7 +13,8 @@ from spdclab import (
 )
 from spdclab import model, smearing
 
-from _oracles import dense_p_ssi, dense_smear_surface, numeric_smear
+from _oracles import (dense_p_ssi, dense_smear_surface, hexagon_cell_areas,
+                      numeric_smear)
 
 
 class TestBuildKernel:
@@ -225,8 +226,8 @@ class TestSmearSurface:
     def test_central_block_memory_bounded_at_short_coherence(self):
         import tracemalloc
 
-        # dt = 0.5 ps on the desk grid: 1600 subsamples per cell and axis, of
-        # which only the few where C is nonzero are kept
+        # dt = 0.5 ps on the desk grid: the peak lies inside the centre cell,
+        # and its neighbours, clipped to the support, are empty
         p = SourceParams(2e7, 5e-13)
         grid = np.arange(-521, 522) * 5e-11
         tracemalloc.start()
@@ -243,20 +244,64 @@ class TestSmearSurface:
     def test_central_block_guard_at_long_coherence(self):
         import tracemalloc
 
-        # dt = 10 us on the desk grid over a 20 us span: 2e5 block cells with
-        # 8 live subsamples each, so one block row would form temporaries of
-        # 1.3e7 elements; the rows are those gbar2c_analytic asks for on the
-        # desk kernel (a low rate keeps mu = R dt small)
+        # dt = 10 us on the desk grid over a 20 us span: 2e5 block cells of
+        # one subcell each, so the 2e4 rows within 0.5 us of zero would read
+        # the antiderivative 1.6e10 times (a low rate keeps mu = R dt small)
         p = SourceParams(1e3, 1e-5)
         grid = np.arange(-400_000, 400_001) * 5e-11
         tracemalloc.start()
         try:
-            with pytest.raises(GuardError, match="central block"):
-                smearing._ccr_block(p, grid, 5e-11, reach=6.025e-9)
+            with pytest.raises(GuardError, match="central block work"):
+                smearing._ccr_block(p, grid, 5e-11, reach=5e-7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 50 * 10**6
+
+    @pytest.mark.parametrize("dt", [5e-12, 1e-10, 1e-9, 3.3e-9])
+    def test_box_block_mass_exact(self, dt):
+        # 2 (R/dt) R over the hexagon |a|, |b|, |a - b| <= dt/2 of area
+        # 3 dt^2 / 4, on the desk grid whatever dt is
+        p = SourceParams(2e7, dt)
+        step = 5e-11
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step)[-1]
+        mass = block.sum() * step**2
+        assert mass == pytest.approx(1.5 * p.pair_rate**2 * dt, rel=1e-12)
+
+    @pytest.mark.parametrize("dt", [1e-9, 1e-8])
+    def test_box_block_matches_hexagon_oracle(self, dt):
+        p = SourceParams(1e6, dt)
+        step = 5e-11
+        grid = np.arange(-521, 522) * step
+        row0, col0, block = smearing._ccr_block(p, grid, step)
+        rows = grid[row0 : row0 + block.shape[0]]
+        cols = grid[col0 : col0 + block.shape[1]]
+        area = hexagon_cell_areas(rows, cols, step, dt / 2)
+        expected = 2 * p.pair_rate**2 / dt * area / step**2
+        assert np.max(np.abs(block - expected)) <= 1e-11 * np.max(expected)
+
+    def test_triangle_block_mass(self):
+        # 2 (R/dt) R dt^2 J with J the integral of
+        # sqrt((1 - |x|)(1 - |y|)) (1 - |x - y|)+ over the unit square
+        from scipy.integrate import quad
+
+        def inner(x):
+            def f(y):
+                return np.sqrt((1 - abs(x)) * (1 - abs(y))) * (1 - abs(x - y))
+
+            lo, hi = max(-1.0, x - 1), min(1.0, x + 1)
+            cuts = sorted({lo, hi, *(c for c in (0.0, x) if lo < c < hi)})
+            return sum(quad(f, a, b, epsabs=0, epsrel=1e-13)[0]
+                       for a, b in zip(cuts, cuts[1:]))
+
+        j = sum(quad(inner, a, b, epsabs=0, epsrel=1e-12)[0]
+                for a, b in ((-1, 0), (0, 1)))
+        assert j == pytest.approx(0.8654498469497874, rel=1e-10)
+        p = SourceParams(2e7, 1e-9, "triangle")
+        step = 5e-11
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step)[-1]
+        mass = block.sum() * step**2
+        assert mass == pytest.approx(2 * j * p.pair_rate**2 * 1e-9, rel=1e-5)
 
     def test_rejects_span_within_kernel_support(self):
         p = SourceParams(2e7, 1e-9)
@@ -322,7 +367,7 @@ class TestGbar2cAnalytic:
         assert np.max(np.abs(curve.values - oracle) / oracle) <= 1e-12
 
     def test_box_zero_delay_matches_quadrature(self):
-        # desk box at a 5 ps kernel step; both box supports (|t| <= dt/2)
+        # desk box on the desk's 50 ps kernel step; both box supports (|t| <= dt/2)
         # lie inside the kernel's flat top |t| <= 4 ns, so
         # gbar2c(0) = (1 + 2X + D + 3 p^2 dt / (2R)) / (1 + X)^2 with
         # D the integral of (K * K)(u) over |u| <= dt/2
@@ -330,7 +375,7 @@ class TestGbar2cAnalytic:
 
         p = SourceParams(2e7, 1e-9)
         dt = p.coherence_time
-        step = 5e-12
+        step = 5e-11
         k = build_kernel(5e-9, 1e-9, step)
         breaks = [-6e-9, -4e-9, 4e-9, 6e-9]
 
@@ -345,7 +390,7 @@ class TestGbar2cAnalytic:
         exact = ((1 + 2 * x + d + 3 * k.plateau_height**2 * dt / (2 * p.pair_rate))
                  / (1 + x) ** 2)
         curve = gbar2c_analytic(p, k, np.array([0.0, step]))
-        assert curve.value_at(0.0) == pytest.approx(exact, abs=1e-4)
+        assert curve.value_at(0.0) == pytest.approx(exact, rel=1e-6)
 
     def test_extremes_match_predictions_when_scales_separate(self):
         mu = 1e-6
@@ -393,7 +438,7 @@ class TestSamplers:
         # Q is even and linear beyond the support, so the integral of R^2
         # over |u| <= L is 2 Q'(L) = 2 (Q(L + s) - Q(L)) / s
         big, s = 5e-9, 1e-9
-        q2 = model.auto_sq_antider2(p, big + s) - model.auto_sq_antider2(p, big)
+        q2 = model.auto_antider2(p, big + s, 2) - model.auto_antider2(p, big, 2)
         total = 2 * q2 / s / p.pair_rate**2
         expected = p.coherence_time if shape == "box" else 2 * p.coherence_time / 3
         assert total == pytest.approx(expected, rel=1e-12)
