@@ -7,6 +7,7 @@ carry units; dimensionless columns are plain ``value``/``stderr``.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
-from .curves import CorrelationSurface, _grid_index
+from .curves import (UNIT_DIMENSIONLESS, UNIT_PER_S, UNIT_PER_S3,
+                     CorrelationSurface, _grid_index)
 from .evtfile import _atomic_write
 from .params import GridError, SpdcLabError
 from .scenario import Scenario
@@ -30,15 +32,46 @@ __all__ = [
 ]
 
 
+#: rows joined into one string and handed to the file at a time
+_CHUNK_ROWS = 8192
+
+
 def _write_table(path, header: list[str], names, *columns) -> None:
     """Write ``header``, the column line of ``names`` and one row per
-    element of ``columns``.  A ``str`` field prints as is, every other field
-    as ``repr`` of its Python scalar (``tolist`` turns numpy numbers into
-    Python ones)."""
-    cols = [np.asarray(c).tolist() for c in columns]
-    rows = [",".join(f if isinstance(f, str) else repr(f) for f in row)
-            for row in zip(*cols)]
-    _atomic_write(path, ("\n".join([*header, ",".join(names), *rows]), "\n"))
+    element of ``columns`` broadcast to one shape, read in C order.
+
+    Each column's distinct values are formatted once: a ``str`` prints as
+    is, an integer as its Python int and any other value as its Python
+    float, whose ``str`` is its shortest round-trip ``repr``.  Floats are
+    grouped by float64 bit pattern, so ``-0.0`` and every NaN print as their
+    own float does.  Rows are joined at most ``_CHUNK_ROWS`` at a time, in
+    whole slices along the first axis (one at least), so the writer never
+    holds the whole body as text.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    fields = []  # (each distinct text with its separator, the text index of each cell)
+    for k, column in enumerate(map(np.asarray, columns)):
+        floats = column.dtype.kind not in "iuU"
+        keys = (np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+                if floats else column)
+        keys, index = np.unique(keys, return_inverse=True)
+        end = "," if k < len(columns) - 1 else "\n"
+        text = [f"{v}{end}" for v in (keys.view(float) if floats else keys).tolist()]
+        cell = index.reshape((1,) * (len(shape) - column.ndim) + column.shape)
+        fields.append((np.array(text, dtype=object), cell))
+    step = max(1, _CHUNK_ROWS // (math.prod(shape[1:]) or 1))
+
+    def chunks():
+        yield "\n".join([*header, ",".join(names)]) + "\n"
+        rows = np.empty((step, *shape[1:], len(fields)), dtype=object)
+        for i in range(0, shape[0], step):
+            part = rows[: min(step, shape[0] - i)]
+            for k, (text, cell) in enumerate(fields):
+                # a column broadcast along the first axis is indexed whole
+                part[..., k] = text[cell if len(cell) == 1 else cell[i : i + step]]
+            yield "".join(part.ravel().tolist())
+
+    _atomic_write(path, chunks())
 
 
 def _header(scenario: Scenario | None) -> list[str]:
@@ -47,115 +80,87 @@ def _header(scenario: Scenario | None) -> list[str]:
     return lines
 
 
-def write_curve_csv(
-    path, delays, values, stderr=None, unit: str = "dimensionless",
-    scenario: Scenario | None = None,
-) -> None:
-    suffix = "" if unit == "dimensionless" else f"_{unit}"
+def _unit_names(unit: str, *names: str) -> list[str]:
+    """``names`` tagged with ``unit``; dimensionless ones stay plain."""
+    return [name if unit == UNIT_DIMENSIONLESS else f"{name}_{unit}" for name in names]
+
+
+def _curve(delays, values, stderr=None, unit: str = UNIT_DIMENSIONLESS):
+    """Column names and float columns of a delay curve product."""
     columns = [delays, values] if stderr is None else [delays, values, stderr]
-    names = ["delay_s", f"value{suffix}", f"stderr{suffix}"][: len(columns)]
-    _write_table(path, _header(scenario), names,
-                 *(np.asarray(c, dtype=float) for c in columns))
+    names = ["delay_s", *_unit_names(unit, "value", "stderr")][: len(columns)]
+    return (names, *(np.asarray(c, dtype=float) for c in columns))
 
 
-def write_surface_csv(
-    path, surface: CorrelationSurface, scenario: Scenario | None = None
-) -> None:
-    """Stream the surface as ``t1_s,t2_s,value`` rows, t2 varying fastest.
+def write_curve_csv(path, delays, values, stderr=None, unit=UNIT_DIMENSIONLESS,
+                    header=()) -> None:
+    _write_table(path, header, *_curve(delays, values, stderr, unit))
 
-    Each axis label and each distinct value is formatted once: cells are
-    grouped by their float64 bit pattern, which keeps ``-0.0`` apart from
-    ``0.0``, so every cell prints as ``repr`` of its own Python float.  A
-    row is one ``(len(t2), 3)`` object array of those strings (t1 label,
-    t2 label, value plus newline), filled by numpy and joined once.
-    """
-    suffix = "" if surface.unit == "dimensionless" else f"_{surface.unit}"
-    lines = _header(scenario)
-    lines.append(f"t1_s,t2_s,value{suffix}")
 
-    def chunks():
-        yield "\n".join(lines) + "\n"
-        values = np.ascontiguousarray(surface.values, dtype=np.float64)
-        bits, cells = np.unique(values.view(np.int64), return_inverse=True)
-        text = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()],
-                        dtype=object)
-        row = np.empty((values.shape[1], 3), dtype=object)
-        row[:, 1] = [f",{b!r}," for b in surface.t2.tolist()]
-        for a, cells_row in zip(surface.t1.tolist(), cells.reshape(values.shape)):
-            row[:, 0] = repr(a)
-            row[:, 2] = text[cells_row]
-            yield "".join(row.ravel().tolist())
-
-    _atomic_write(path, chunks())
+def write_surface_csv(path, surface: CorrelationSurface, header=()) -> None:
+    """Write the surface as ``t1_s,t2_s,value`` rows, t2 varying fastest;
+    each axis label and each distinct value is formatted once."""
+    _write_table(path, header, ["t1_s", "t2_s", *_unit_names(surface.unit, "value")],
+                 surface.t1[:, None], surface.t2[None, :], surface.values)
 
 
 def read_curve_csv(path):
     """Read delays, values and (optionally) stderr back from a product.
 
-    A row without a stderr field reads it as NaN.  A field that is not a
-    number raises ``SpdcLabError`` naming the file and line.
+    A row without a stderr field reads it as NaN and a blank line is
+    skipped.  A row of fewer than two fields, or a field that is not a
+    number, raises ``SpdcLabError`` naming the file and line.
     """
     delays, values, stderr = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or line.startswith("delay_s"):
+            if line.startswith("#") or line.startswith("delay_s") or not line.strip():
                 continue
-            parts = line.strip().split(",")
-            if len(parts) < 2:
-                continue
-            try:
-                row = [float(part) for part in parts[:3]]
+            try:  # fewer than two fields fails the unpacking
+                delay, value, *err = (float(f) for f in line.strip().split(",")[:3])
             except ValueError:
                 raise SpdcLabError(f"{os.fspath(path)}: line {lineno}: "
                                    f"{line.strip()!r} is not a row of numbers") from None
-            delays.append(row[0])
-            values.append(row[1])
-            stderr.append(row[2] if len(row) > 2 else np.nan)
+            delays.append(delay)
+            values.append(value)
+            stderr.append(err[0] if err else np.nan)
     return np.array(delays), np.array(values), np.array(stderr)
 
 
-def _product(out: dict[str, str], outdir, name: str) -> str:
-    """Path of product ``name`` in ``outdir``, recorded in ``out``."""
-    path = out[name] = os.path.join(outdir, name + ".csv")
-    return path
+def _write_products(outdir, header: list[str], tables: dict) -> dict[str, str]:
+    """Write each ``name: (names, *columns)`` of ``tables`` to ``NAME.csv``
+    in ``outdir`` under the run's one ``header``; return the paths.  Callers
+    compute every table first, so a run that trips a guard writes nothing."""
+    os.makedirs(outdir, exist_ok=True)
+    out = {}
+    for name, table in tables.items():
+        out[name] = os.path.join(outdir, name + ".csv")
+        _write_table(out[name], header, *table)
+    return out
 
 
 def run_analytic(scenario: Scenario, outdir) -> dict[str, str]:
     """Emit the closed-form model curves on the scenario's delay grid."""
-    os.makedirs(outdir, exist_ok=True)
     src = scenario.source
     delays = scenario.window.delays()
-    out = {}
-    for name, values, unit in (
-        ("auto_correlation", model.auto_correlation(src, delays), "per_s"),
-        ("cross_correlation", model.cross_correlation(src, delays), "per_s"),
-        ("g2_si", model.g2_si(src, delays), "dimensionless"),
-        ("g2_ss", model.g2_ss_unconditional(src, delays), "dimensionless"),
-        ("p_ssi_diag", model.p_ssi_diag(src, delays), "per_s3"),
-        ("g2_c_diag", model.g2_c(src, 0.0, delays, 0.0), "dimensionless"),
-    ):
-        write_curve_csv(_product(out, outdir, name), delays, values, unit=unit,
-                        scenario=scenario)
-    return out
-
-
-def _scenario_kernel(scenario: Scenario) -> smearing.ResponseKernel:
-    return smearing.build_kernel(
-        scenario.window.coincidence_halfwidth,
-        scenario.chain.jitter_width,
-        scenario.window.bin_width,
-    )
+    return _write_products(outdir, _header(scenario), {
+        "auto_correlation": _curve(delays, model.auto_correlation(src, delays),
+                                   unit=UNIT_PER_S),
+        "cross_correlation": _curve(delays, model.cross_correlation(src, delays),
+                                    unit=UNIT_PER_S),
+        "g2_si": _curve(delays, model.g2_si(src, delays)),
+        "g2_ss": _curve(delays, model.g2_ss_unconditional(src, delays)),
+        "p_ssi_diag": _curve(delays, model.p_ssi_diag(src, delays), unit=UNIT_PER_S3),
+        "g2_c_diag": _curve(delays, model.g2_c(src, 0.0, delays, 0.0)),
+    })
 
 
 def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[str, str]:
-    """Emit the window-averaged curves and plateau predictions.
-
-    Every product is computed, and so every guard has run, before the first
-    one is written: a run that trips a guard writes no product.
-    """
+    """Emit the window-averaged curves and plateau predictions."""
     src = scenario.source
     window = scenario.window
-    kernel = _scenario_kernel(scenario)
+    kernel = smearing.build_kernel(window.coincidence_halfwidth,
+                                   scenario.chain.jitter_width, window.bin_width)
     curve = smearing.smear_g2_si(src, kernel, window.delays())
     gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
     pred = smearing.predict_plateaus(src, kernel)
@@ -163,21 +168,21 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     half_span = window.span + kernel.support_halfwidth + window.bin_width
     surface = smearing.smear_surface(src, kernel, half_span) if with_surface else None
 
-    os.makedirs(outdir, exist_ok=True)
-    out = {}
-    write_curve_csv(_product(out, outdir, "kernel"), kernel.delays(),
-                    kernel.samples, unit="per_s", scenario=scenario)
-    write_curve_csv(_product(out, outdir, "g2_si_smeared"), curve.delays,
-                    curve.values, unit=curve.unit, scenario=scenario)
-    write_curve_csv(_product(out, outdir, "gbar2_c_analytic"), gbar.delays,
-                    gbar.values, unit=gbar.unit, scenario=scenario)
-    _write_table(
-        _product(out, outdir, "plateaus"), _header(scenario), ["quantity", "value"],
-        ["X", "g2si_plateau", "nssi_short_per_s3", "nssi_long_per_s3", "gbar2c_short"],
-        [pred.X, pred.g2si_plateau, pred.nssi_short, pred.nssi_long, pred.gbar2c_short],
-    )
+    header = _header(scenario)
+    out = _write_products(outdir, header, {
+        "kernel": _curve(kernel.delays(), kernel.samples, unit=UNIT_PER_S),
+        "g2_si_smeared": _curve(curve.delays, curve.values, unit=curve.unit),
+        "gbar2_c_analytic": _curve(gbar.delays, gbar.values, unit=gbar.unit),
+        "plateaus": (
+            ["quantity", "value"],
+            ["X", "g2si_plateau", *_unit_names(UNIT_PER_S3, "nssi_short", "nssi_long"),
+             "gbar2c_short"],
+            [pred.X, pred.g2si_plateau, pred.nssi_short, pred.nssi_long,
+             pred.gbar2c_short]),
+    })
     if surface is not None:
-        write_surface_csv(_product(out, outdir, "p_ssi_smeared"), surface, scenario)
+        out["p_ssi_smeared"] = path = os.path.join(outdir, "p_ssi_smeared.csv")
+        write_surface_csv(path, surface, header)
     return out
 
 
@@ -225,26 +230,21 @@ def _count_streams(idler, s1, s2, delays, tauc):
 
 def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
     """Count coincidences in an .evt file and emit the estimator curves."""
-    os.makedirs(outdir, exist_ok=True)
     streams = {s.channel: s for s in evtfile.read_events(evt_path)}
     window = scenario.window
     rates, histograms, g2bar, gbar2c = _count_streams(
         streams["idler"], streams["signal1"], streams["signal2"],
         window.delays(), window.coincidence_halfwidth,
     )
-    out = {}
-
-    _write_table(_product(out, outdir, "singles"), _header(scenario),
-                 ["channel", "rate_per_s", "stderr_per_s"], list(rates),
-                 [r.value for r in rates.values()], [r.stderr for r in rates.values()])
-    for name, hist in histograms.items():
-        _write_table(_product(out, outdir, name), _header(scenario),
-                     ["delay_s", "counts"], hist.delays, hist.counts)
-
-    for name, est in (("g2bar_si", g2bar), ("gbar2_c", gbar2c)):
-        write_curve_csv(_product(out, outdir, name), est.delays, est.values,
-                        est.stderr, scenario=scenario)
-    return out
+    return _write_products(outdir, _header(scenario), {
+        "singles": (["channel", *_unit_names(UNIT_PER_S, "rate", "stderr")],
+                    list(rates), [r.value for r in rates.values()],
+                    [r.stderr for r in rates.values()]),
+        **{name: (["delay_s", "counts"], hist.delays, hist.counts)
+           for name, hist in histograms.items()},
+        "g2bar_si": _curve(g2bar.delays, g2bar.values, g2bar.stderr, g2bar.unit),
+        "gbar2_c": _curve(gbar2c.delays, gbar2c.values, gbar2c.stderr, gbar2c.unit),
+    })
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,18 @@ def numeric_smear(curve_delays, curve_values, kernel_values, step):
     return curve_delays[m : len(curve_delays) - m], out
 
 
-def surface_csv_body(t1, t2, values):
-    """Surface CSV body (no header) built with one f-string per cell."""
-    lines = []
-    for i, a in enumerate(t1):
-        for j, b in enumerate(t2):
-            lines.append(f"{float(a)!r},{float(b)!r},{float(values[i, j])!r}")
-    return "\n".join(lines) + "\n"
+def table_csv_body(*columns):
+    """Table CSV body (no header) built row by row, one f-string per field:
+    the columns broadcast to one shape and read in C order, a ``str`` field
+    as is, an integer as ``int`` and any other field as a Python float."""
+    def field(v):
+        if isinstance(v, str):
+            return v
+        return f"{int(v)}" if isinstance(v, (int, np.integer)) else f"{float(v)!r}"
+
+    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    return "".join(",".join(field(col[idx]) for col in cols) + "\n"
+                   for idx in np.ndindex(cols[0].shape))
 
 
 def raw_evt(*channels, magic=b"SPDCEVT1"):

@@ -4,6 +4,7 @@ import io
 import os
 import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,14 +17,15 @@ from hypothesis import strategies as st
 from spdclab import (
     CHANNELS,
     ConfigError,
-    CorrelationSurface,
     EventStream,
     GridError,
     parse_scenario,
 )
 from spdclab.cli import main
 from spdclab.runner import (
+    _CHUNK_ROWS,
     _count_streams,
+    _write_table,
     read_curve_csv,
     run_compare,
     write_curve_csv,
@@ -31,7 +33,7 @@ from spdclab.runner import (
 )
 from spdclab.scenario import _ALL_KEYS
 
-from _oracles import raw_evt, surface_csv_body
+from _oracles import raw_evt, table_csv_body
 
 DESK_CONFIG = """
 # desk-scale reference scenario
@@ -69,6 +71,8 @@ def non_curves(tmp_path_factory):
     assert main(["count", str(config), str(root / "events.evt"),
                  "-o", str(root)]) == 0
     (root / "not_a_number.csv").write_text("delay_s,value\n1e-9,abc\n")
+    # a blank line is skipped; a row cut down to its delay is not a row
+    (root / "short_row.csv").write_text("delay_s,value,stderr\n1e-9,1.0,0.1\n\n2e-9\n")
     (root / "empty.csv").write_text("")
     return root
 
@@ -152,23 +156,45 @@ class TestCliCommands:
         assert (cnt / "singles.csv").exists()
 
     def test_product_fields_parse_as_numbers(self, config_path, tmp_path):
-        sim, cnt, sm = tmp_path / "sim", tmp_path / "cnt", tmp_path / "sm"
+        # every number prints as repr of its float, or a plain int for counts
+        sim, cnt, sm, an = (tmp_path / d for d in ("sim", "cnt", "sm", "an"))
         assert main(["simulate", config_path, "-o", str(sim)]) == 0
         assert main(["count", config_path, str(sim / "events.evt"),
                      "-o", str(cnt)]) == 0
         assert main(["smear", config_path, "-o", str(sm), "--surface"]) == 0
-        products = sorted(cnt.glob("*.csv")) + sorted(sm.glob("*.csv"))
-        assert len(products) == 11
+        assert main(["analytic", config_path, "-o", str(an)]) == 0
+        assert main(["compare", str(cnt / "g2bar_si.csv"), str(cnt / "g2bar_si.csv"),
+                     "-o", str(tmp_path / "z.csv")]) == 0
+        products = [*sorted(tmp_path.glob("*/*.csv")), tmp_path / "z.csv"]
+        assert len(products) == 18
         for path in products:
-            body = [ln for ln in path.read_text().splitlines()
-                    if not ln.startswith("#")]
-            assert len(body) > 1, path.name
-            for line in body[1:]:
-                fields = line.split(",")
-                if path.name in ("singles.csv", "plateaus.csv"):
-                    fields = fields[1:]  # a channel or quantity label
-                for field in fields:
-                    float(field)
+            names, *rows = [ln.split(",") for ln in path.read_text().splitlines()
+                            if not ln.startswith("#")]
+            assert rows, path.name
+            for row in rows:
+                assert len(row) == len(names), path.name
+                for name, field in zip(names, row):
+                    if name in ("channel", "quantity"):
+                        continue  # a label
+                    number = str(int(field)) if name == "counts" else repr(float(field))
+                    assert field == number, (path.name, name, field)
+
+    @pytest.mark.parametrize("command", ["smear --surface", "count"])
+    def test_one_generated_at_per_run(self, config_path, tmp_path, monkeypatch,
+                                      command):
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        assert main(["simulate", config_path, "-o", str(sim)]) == 0
+        argv = {"smear --surface": ["smear", config_path, "--surface"],
+                "count": ["count", config_path, str(sim / "events.evt")]}[command]
+        # each clock read gives a new stamp, so a product stamped apart shows
+        stamps = iter(range(1000))
+        monkeypatch.setattr(time, "strftime", lambda fmt: f"stamp {next(stamps)}")
+        assert main([*argv, "-o", str(out)]) == 0
+        products = sorted(out.glob("*.csv"))
+        assert len(products) == {"smear --surface": 5, "count": 6}[command]
+        stamped = {ln for path in products for ln in path.read_text().splitlines()
+                   if ln.startswith("# generated_at = ")}
+        assert len(stamped) == 1, stamped
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -419,9 +445,10 @@ class TestCliCommands:
         ("singles.csv", "line "),
         ("plateaus.csv", "line "),
         ("not_a_number.csv", "line 2: "),
+        ("short_row.csv", "line 4: "),
         ("empty.csv", "no data rows"),
         ("triples.csv", "no stderr value"),
-    ], ids=["singles", "plateaus", "not_a_number", "empty", "triples"])
+    ], ids=["singles", "plateaus", "not_a_number", "short_row", "empty", "triples"])
     def test_compare_rejects_non_curves(self, non_curves, tmp_path, capsys,
                                         name, message):
         path = str(non_curves / name)
@@ -556,6 +583,28 @@ def test_readme_library_example(capsys):
 
 
 class TestSurfaceCsv:
+    """``write_surface_csv`` against the row-by-row reference.  Every case
+    writes a table of ``t1[:, None]``, ``t2[None, :]`` and ``values`` through
+    ``_write``, which ``TestTableCsv`` overrides to run it on 1-D columns."""
+
+    NAMES = "t1_s,t2_s,value_per_s3\n"
+
+    @staticmethod
+    def _write(path, t1, t2, values):
+        # the writer reads only these fields, so a one-point axis, which
+        # CorrelationSurface refuses, can still be written
+        write_surface_csv(path, SimpleNamespace(t1=np.asarray(t1), t2=np.asarray(t2),
+                                                values=np.asarray(values), unit="per_s3"))
+
+    def _body(self, tmp_path, t1, t2, values):
+        path = tmp_path / "table.csv"
+        self._write(path, t1, t2, values)
+        return path.read_text().partition(self.NAMES)[2]
+
+    @staticmethod
+    def _reference(t1, t2, values):
+        return table_csv_body(np.asarray(t1)[:, None], np.asarray(t2)[None, :], values)
+
     @staticmethod
     def _surface():
         values = np.array([
@@ -563,30 +612,16 @@ class TestSurfaceCsv:
             [5e-324, 0.1 + 0.2, 0.3, 0.1 + 0.2, 1e300],
             [-2.5e-8, 0.0, 0.1 + 0.2, -0.0, 7.0],
         ])
-        return CorrelationSurface(
-            np.arange(3) * 5e-11 - 5e-11, np.arange(5) * 5e-11 - 1e-10, values
-        )
+        return np.arange(3) * 5e-11 - 5e-11, np.arange(5) * 5e-11 - 1e-10, values
 
     def test_body_matches_per_cell_reference(self, tmp_path):
-        surface = self._surface()
-        path = tmp_path / "surface.csv"
-        write_surface_csv(path, surface)
-        text = path.read_text()
-        header, _, body = text.partition("t1_s,t2_s,value_per_s3\n")
-        assert all(ln.startswith("#") for ln in header.splitlines())
-        assert body == surface_csv_body(surface.t1, surface.t2, surface.values)
+        path = tmp_path / "table.csv"
+        self._write(path, *self._surface())
+        header, names, body = path.read_text().partition(self.NAMES)
+        assert names and all(ln.startswith("#") for ln in header.splitlines())
+        assert body == self._reference(*self._surface())
         assert "-0.0" in body and "5e-324" in body and "0.30000000000000004" in body
         assert list(tmp_path.iterdir()) == [path]
-
-    @staticmethod
-    def _body(tmp_path, t1, t2, values):
-        # the writer reads only these fields, so a one-point axis, which
-        # CorrelationSurface refuses, can still be written
-        surface = SimpleNamespace(t1=np.asarray(t1), t2=np.asarray(t2),
-                                  values=np.asarray(values), unit="per_s3")
-        path = tmp_path / "surface.csv"
-        write_surface_csv(path, surface)
-        return path.read_text().partition("t1_s,t2_s,value_per_s3\n")[2]
 
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
     def test_single_row_or_column(self, tmp_path, shape):
@@ -594,7 +629,7 @@ class TestSurfaceCsv:
         t2 = np.arange(shape[1]) * 5e-11 + 3e-11
         values = np.linspace(-1.0, 2.0, shape[0] * shape[1]).reshape(shape) / 3
         body = self._body(tmp_path, t1, t2, values)
-        assert body == surface_csv_body(t1, t2, values)
+        assert body == self._reference(t1, t2, values)
         assert body.count("\n") == values.size
 
     def test_nans_with_different_bits(self, tmp_path):
@@ -605,7 +640,7 @@ class TestSurfaceCsv:
         assert np.unique(bits).size == 4
         t1, t2 = np.array([0.0, 1e-11]), np.array([-1e-11, 0.0, 1e-11])
         body = self._body(tmp_path, t1, t2, values)
-        assert body == surface_csv_body(t1, t2, values)
+        assert body == self._reference(t1, t2, values)
         assert body.count(",nan\n") == 4
 
     def test_values_repeat_across_rows(self, tmp_path):
@@ -614,16 +649,54 @@ class TestSurfaceCsv:
         values = rng.choice(pool, size=(37, 53))
         t1, t2 = np.arange(37) * 5e-11 - 9e-10, np.arange(53) * 5e-11 - 1.3e-9
         body = self._body(tmp_path, t1, t2, values)
-        assert body == surface_csv_body(t1, t2, values)
+        assert body == self._reference(t1, t2, values)
+
+    @pytest.mark.parametrize("shape", [(_CHUNK_ROWS + 3, 1), (3, _CHUNK_ROWS // 2 + 1)],
+                             ids=["rows", "columns"])
+    def test_chunk_edges(self, tmp_path, shape):
+        # more rows than one chunk holds, in one or more slices per chunk
+        rng = np.random.default_rng(41)
+        values = rng.choice([0.1 + 0.2, -0.0, 1e-300, np.nan], size=shape)
+        t1, t2 = np.arange(shape[0]) * 5e-11, np.arange(shape[1]) * 5e-11 - 2e-11
+        body = self._body(tmp_path, t1, t2, values)
+        assert body == self._reference(t1, t2, values)
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
-        path = tmp_path / "surface.csv"
-        write_surface_csv(path, self._surface())
+        path = tmp_path / "table.csv"
+        self._write(path, *self._surface())
         before = path.read_text()
-        broken = self._surface()
-        broken.values = broken.values.astype(object)
-        broken.values[1, 2] = "not a number"
+        t1, t2, values = self._surface()
+        broken = values.astype(object)
+        broken[1, 2] = "not a number"
         with pytest.raises(ValueError):
-            write_surface_csv(path, broken)
+            self._write(path, t1, t2, broken)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text() == before
+
+
+class TestTableCsv(TestSurfaceCsv):
+    """The surface cases as three 1-D columns of one table, plus ``int`` and
+    ``str`` columns and a table with no row."""
+
+    @staticmethod
+    def _write(path, t1, t2, values):
+        columns = np.broadcast_arrays(np.asarray(t1)[:, None], np.asarray(t2)[None, :],
+                                      values)
+        _write_table(path, ["# one header line"], ["t1_s", "t2_s", "value_per_s3"],
+                     *(c.ravel() for c in columns))
+
+    def test_int_and_str_columns(self, tmp_path):
+        path = tmp_path / "table.csv"
+        labels = ["idler", "signal1", "idler", "-0.0", "nan"]
+        counts = np.array([0, -7, 2**62, 0, 12], dtype=np.int64)
+        rates = [0.1 + 0.2, -0.0, 5e-324, np.nan, 0.1 + 0.2]
+        _write_table(path, [], ["channel", "counts", "rate_per_s"], labels, counts, rates)
+        assert path.read_text() == ("channel,counts,rate_per_s\n"
+                                    + table_csv_body(labels, counts, rates))
+        assert path.read_text().splitlines()[3] == "idler,4611686018427387904,5e-324"
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        _write_table(path, ["# one header line"], ["delay_s", "counts"],
+                     np.zeros(0), np.zeros(0, dtype=np.int64))
+        assert path.read_text() == "# one header line\ndelay_s,counts\n"
