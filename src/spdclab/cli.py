@@ -101,6 +101,10 @@ def _run_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        # each value writes its products to its own directory
+        raise ConfigError(f"--values repeats {repeated[0]!r}")
     jobs = [(text, args.key, v, args.outdir, args.product) for v in values]
     workers = min(_thread_limit(), len(jobs), os.cpu_count() or 1)
     if workers > 1:

@@ -1,4 +1,5 @@
-"""Unit-tagged containers for sampled curves, surfaces and count histograms."""
+"""Containers for sampled curves, surfaces and count histograms, and the
+lookup of a delay on their grids."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,12 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import GridError
-
-#: unit tags used on sampled data; rates are 1/s, amplitudes 1/s,
-#: triple rates 1/s^3
-UNIT_DIMENSIONLESS = "dimensionless"
-UNIT_PER_S = "per_s"
-UNIT_PER_S3 = "per_s3"
 
 _REL_STEP_TOL = 1e-9
 
@@ -52,7 +47,6 @@ class CorrelationCurve:
 
     delays: np.ndarray
     values: np.ndarray
-    unit: str = UNIT_DIMENSIONLESS
 
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)
@@ -82,7 +76,6 @@ class CorrelationSurface:
     t1: np.ndarray
     t2: np.ndarray
     values: np.ndarray
-    unit: str = UNIT_PER_S3
 
     def __post_init__(self) -> None:
         self.t1 = np.asarray(self.t1, dtype=float)
@@ -136,7 +129,6 @@ class EstimatorCurve:
     delays: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    unit: str = UNIT_DIMENSIONLESS
 
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlate, events, evtfile, model, smearing
-from .curves import (UNIT_DIMENSIONLESS, UNIT_PER_S, UNIT_PER_S3,
-                     CorrelationSurface, _grid_index)
+from .curves import CorrelationSurface, _grid_index
 from .evtfile import _atomic_write
 from .params import GridError, SpdcLabError
 from .scenario import Scenario
@@ -27,10 +26,15 @@ __all__ = [
     "run_simulate",
     "run_count",
     "run_compare",
-    "write_curve_csv",
     "read_curve_csv",
 ]
 
+
+#: unit tags of product columns: rates and amplitudes are 1/s, triple rates
+#: 1/s^3
+UNIT_DIMENSIONLESS = "dimensionless"
+UNIT_PER_S = "per_s"
+UNIT_PER_S3 = "per_s3"
 
 #: rows joined into one string and handed to the file at a time
 _CHUNK_ROWS = 8192
@@ -92,15 +96,11 @@ def _curve(delays, values, stderr=None, unit: str = UNIT_DIMENSIONLESS):
     return (names, *(np.asarray(c, dtype=float) for c in columns))
 
 
-def write_curve_csv(path, delays, values, stderr=None, unit=UNIT_DIMENSIONLESS,
-                    header=()) -> None:
-    _write_table(path, header, *_curve(delays, values, stderr, unit))
-
-
 def write_surface_csv(path, surface: CorrelationSurface, header=()) -> None:
-    """Write the surface as ``t1_s,t2_s,value`` rows, t2 varying fastest;
-    each axis label and each distinct value is formatted once."""
-    _write_table(path, header, ["t1_s", "t2_s", *_unit_names(surface.unit, "value")],
+    """Write the triple-rate surface as ``t1_s,t2_s,value_per_s3`` rows, t2
+    varying fastest; each axis label and each distinct value is formatted
+    once."""
+    _write_table(path, header, ["t1_s", "t2_s", *_unit_names(UNIT_PER_S3, "value")],
                  surface.t1[:, None], surface.t2[None, :], surface.values)
 
 
@@ -164,15 +164,13 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     curve = smearing.smear_g2_si(src, kernel, window.delays())
     gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
     pred = smearing.predict_plateaus(src, kernel)
-    # sampled span from which the valid convolution still covers the grid
-    half_span = window.span + kernel.support_halfwidth + window.bin_width
-    surface = smearing.smear_surface(src, kernel, half_span) if with_surface else None
+    surface = smearing.smear_surface(src, kernel, window.span) if with_surface else None
 
     header = _header(scenario)
     out = _write_products(outdir, header, {
         "kernel": _curve(kernel.delays(), kernel.samples, unit=UNIT_PER_S),
-        "g2_si_smeared": _curve(curve.delays, curve.values, unit=curve.unit),
-        "gbar2_c_analytic": _curve(gbar.delays, gbar.values, unit=gbar.unit),
+        "g2_si_smeared": _curve(curve.delays, curve.values),
+        "gbar2_c_analytic": _curve(gbar.delays, gbar.values),
         "plateaus": (
             ["quantity", "value"],
             ["X", "g2si_plateau", *_unit_names(UNIT_PER_S3, "nssi_short", "nssi_long"),
@@ -242,8 +240,8 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
                     [r.stderr for r in rates.values()]),
         **{name: (["delay_s", "counts"], hist.delays, hist.counts)
            for name, hist in histograms.items()},
-        "g2bar_si": _curve(g2bar.delays, g2bar.values, g2bar.stderr, g2bar.unit),
-        "gbar2_c": _curve(gbar2c.delays, gbar2c.values, gbar2c.stderr, gbar2c.unit),
+        "g2bar_si": _curve(g2bar.delays, g2bar.values, g2bar.stderr),
+        "gbar2_c": _curve(gbar2c.delays, gbar2c.values, gbar2c.stderr),
     })
 
 

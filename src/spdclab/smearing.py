@@ -16,23 +16,19 @@ as cell averages (differences of exact antiderivatives), so discrete
 convolution conserves peak integrals exactly even when a correlation peak is
 much narrower than the grid step.  C(t)^2 is smeared by one expression:
 ``smear_g2_si``, the ridges of ``smear_surface`` and the normalization of
-``gbar2c_analytic`` all read it, so they agree bit for bit.
+``gbar2c_analytic`` all read it, so they agree bit for bit; and all three
+sample on one grid rule (``_delay_grid``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
-from .curves import (
-    UNIT_DIMENSIONLESS,
-    UNIT_PER_S3,
-    CorrelationCurve,
-    CorrelationSurface,
-    _grid_index,
-)
+from .curves import CorrelationCurve, CorrelationSurface, _grid_index
 from .params import (MAX_CONVOLVE_WORK, MAX_SURFACE_CELLS, GridError, SourceParams,
                      guard, symmetric_grid)
 
@@ -51,13 +47,27 @@ _STEP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Sampled unit-area response of window half-width tau_c and jitter tau_d."""
+    """Unit-area response of window half-width tau_c and jitter tau_d on a
+    symmetric grid of ``grid_step``.  The fields are its only inputs, so
+    kernels built alike compare equal and hash alike.  ``samples`` (computed
+    on first use) are cell averages renormalized to unit discrete area, so
+    convolving a constant curve reproduces it exactly."""
 
     coincidence_halfwidth: float
     jitter: float
     grid_step: float
-    samples: np.ndarray
-    plateau_height: float
+
+    @property
+    def plateau_height(self) -> float:
+        return 1.0 / (2.0 * max(self.coincidence_halfwidth, self.jitter))
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        h = self.grid_step
+        grid = symmetric_grid(np.ceil(self.support_halfwidth / h + 0.5), h)
+        samples = _cell_average(self.cumulative, grid, h)
+        samples /= samples.sum() * h
+        return samples
 
     @property
     def support_halfwidth(self) -> float:
@@ -102,12 +112,10 @@ class ResponseKernel:
 
 
 def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel:
-    """Sample the response trapezoid on a symmetric grid of ``grid_step``.
+    """The response trapezoid sampled on a symmetric grid of ``grid_step``.
 
     The grid must resolve the transition regions: ``grid_step`` may not
     exceed a twentieth of the smaller time scale (of tau_c when tau_d = 0).
-    Samples are cell averages and are renormalized to unit discrete area,
-    so convolving a constant curve reproduces it exactly.
     """
     if not tau_c > 0:
         raise GridError("coincidence half-width must be > 0")
@@ -121,20 +129,7 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
             f"grid_step {grid_step:g} too coarse for response scales "
             f"(need <= {scale / 20:g})"
         )
-    a = max(tau_c, tau_d)
-    b = min(tau_c, tau_d)
-    grid = symmetric_grid(np.ceil((a + b) / grid_step + 0.5), grid_step)
-    kernel = ResponseKernel(
-        coincidence_halfwidth=tau_c,
-        jitter=tau_d,
-        grid_step=grid_step,
-        samples=np.empty(0),
-        plateau_height=1.0 / (2.0 * a),
-    )
-    samples = _cell_average(kernel.cumulative, grid, grid_step)
-    samples /= samples.sum() * grid_step
-    object.__setattr__(kernel, "samples", samples)
-    return kernel
+    return ResponseKernel(tau_c, tau_d, grid_step)
 
 
 def smear_g2_si(
@@ -149,39 +144,41 @@ def smear_g2_si(
     grid = _delay_grid(kernel, delays)
     m = kernel.half_len
     idx = _grid_index(grid[m : grid.size - m], delays)
-    c2_sm = _smeared_c2(params, kernel, grid)[idx]
-    values = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
-    return CorrelationCurve(delays, values, UNIT_DIMENSIONLESS)
+    values = _g2_from_c2(params, kernel, _smeared_c2(params, kernel, grid)[idx])
+    return CorrelationCurve(delays, values)
 
 
 def smear_surface(
-    params: SourceParams, kernel: ResponseKernel, half_span: float
+    params: SourceParams, kernel: ResponseKernel, max_delay: float
 ) -> CorrelationSurface:
-    """Triple-coincidence rate P(t1-ti, t2-ti) smeared by the square window.
+    """Triple-coincidence rate P(t1-ti, t2-ti) smeared by the square window,
+    on both axes over every kernel grid point within ``max_delay``.
 
-    The rate is stored as cell averages on the kernel grid over
-    ``half_span``: the constant R^3, the two signal-idler ridges R C(t)^2
-    and the signal-signal diagonal R R(t1 - t2)^2 as exact differences of
-    their antiderivatives, the narrow central term 2 R C C R from subcell integrals.
-    That surface is convolved with the kernel along both axes: the square
-    two-dimensional averaging window (area (2 tau_c)^2 with transition
-    regions 2 tau_d) acting on the triple rate.  Only the valid region is
-    kept, so the span must exceed the kernel support, and a surface beyond
-    ``MAX_SURFACE_CELLS`` raises ``GuardError`` before its cells exist.
+    The rate is stored as cell averages on the grid of ``_delay_grid``, the
+    one grid rule of every smeared product: the kernel grid out to
+    ``max_delay`` plus the kernel support plus one step.  It holds the
+    constant R^3, the two signal-idler ridges R C(t)^2 and the signal-signal
+    diagonal R R(t1 - t2)^2 as exact differences of their antiderivatives,
+    the narrow central term 2 R C C R from subcell integrals.  That surface
+    is convolved with the kernel along both axes: the square two-dimensional
+    averaging window (area (2 tau_c)^2 with transition regions 2 tau_d)
+    acting on the triple rate.  Only the valid region is kept, so the grid
+    must exceed the kernel (``GridError`` otherwise, as at ``max_delay`` = 0
+    on the README desk kernel), and a surface beyond ``MAX_SURFACE_CELLS``
+    raises ``GuardError`` before its cells exist.
 
     Each term is smeared on its own: the constant and the ridges with 1D
     convolutions, the diagonal by lag, and only the small central block in
     2D.  Outside the reach of the ridges and the diagonal every cell is the
     constant R^3 (sum k h)^2, bit for bit.
     """
-    h = kernel.grid_step
     m = kernel.half_len
-    grid = _symmetric_grid(h, half_span)
+    grid = _delay_grid(kernel, max_delay)
     n = grid.size
     guard("surface cells", n * n, MAX_SURFACE_CELLS)
     values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
     axis = grid[m : n - m]
-    return CorrelationSurface(axis, axis, values, UNIT_PER_S3)
+    return CorrelationSurface(axis, axis, values)
 
 
 def _smeared_rows(
@@ -281,19 +278,13 @@ def predict_plateaus(params: SourceParams, kernel: ResponseKernel) -> PlateauPre
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_grid(grid_step: float, half_span: float) -> np.ndarray:
-    n = np.ceil(half_span / grid_step)
-    if n < 1:
-        raise GridError("half_span must cover at least one grid step")
-    return symmetric_grid(n, grid_step)
-
-
-def _delay_grid(kernel: ResponseKernel, delays: np.ndarray) -> np.ndarray:
+def _delay_grid(kernel: ResponseKernel, delays) -> np.ndarray:
     """The kernel grid over max |delay| + the kernel support + one step, from
-    which the valid convolution still covers every delay."""
-    max_tau = float(np.max(np.abs(delays))) if delays.size else 0.0
+    which the valid convolution still covers every delay (``delays`` an
+    array or one delay)."""
+    max_tau = float(np.max(np.abs(delays))) if np.size(delays) else 0.0
     h = kernel.grid_step
-    return _symmetric_grid(h, max_tau + kernel.support_halfwidth + h)
+    return symmetric_grid(np.ceil((max_tau + kernel.support_halfwidth + h) / h), h)
 
 
 def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
@@ -312,6 +303,12 @@ def _smeared_c2(
     on the valid region: ``grid`` less the kernel half-length at each end."""
     h = kernel.grid_step
     return _convolve(_c2_cells(params, grid, h), kernel.samples, "valid") * h
+
+
+def _g2_from_c2(params: SourceParams, kernel: ResponseKernel, c2_sm):
+    """The smeared g2_si s + (K * C^2) / R^2 from ``_smeared_c2``'s values,
+    s the kernel's discrete area."""
+    return kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
 
 
 def _ccr_block(
@@ -376,6 +373,6 @@ def gbar2c_analytic(
     i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
     row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
     idx = _grid_index(grid[m : grid.size - m], tau_grid)
-    g2 = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
+    g2 = _g2_from_c2(params, kernel, c2_sm)
     values = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
-    return CorrelationCurve(tau_grid, values, UNIT_DIMENSIONLESS)
+    return CorrelationCurve(tau_grid, values)

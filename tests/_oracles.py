@@ -89,16 +89,14 @@ def raw_evt(*channels, magic=b"SPDCEVT1"):
     return b"".join(out)
 
 
-def dense_p_ssi(params, step, half_span):
-    """Triple rate P(t1-ti, t2-ti) as cell averages on the full square grid,
-    one matrix expression over every cell: the constant, the two
-    signal-idler ridges and the signal-signal diagonal from their exact
-    antiderivatives, the central term from the library's block."""
+def dense_p_ssi(params, grid, step):
+    """Triple rate P(t1-ti, t2-ti) as cell averages of width ``step`` on the
+    full square of ``grid``, one matrix expression over every cell: the
+    constant, the two signal-idler ridges and the signal-signal diagonal from
+    their exact antiderivatives, the central term from the library's block."""
     from spdclab import model, smearing
-    from spdclab.curves import UNIT_PER_S3, CorrelationSurface
-    from spdclab.params import symmetric_grid
+    from spdclab.curves import CorrelationSurface
 
-    grid = symmetric_grid(np.ceil(half_span / step), step)
     r = params.pair_rate
     c2 = smearing._cell_average(
         lambda t: model.cross_sq_cumulative(params, t), grid, step)
@@ -109,7 +107,7 @@ def dense_p_ssi(params, step, half_span):
     row0, col0, block = smearing._ccr_block(params, grid, step)
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
-    return CorrelationSurface(grid, grid, values, UNIT_PER_S3)
+    return CorrelationSurface(grid, grid, values)
 
 
 def hexagon_cell_areas(a, b, step, half):
@@ -147,5 +145,4 @@ def dense_smear_surface(surface, kernel):
     for i in range(cols.shape[0]):
         out[i, :] = np.convolve(cols[i, :], k, mode="valid")
     out *= surface.step * surface.step
-    return CorrelationSurface(surface.t1[m:n1 - m], surface.t2[m:n2 - m], out,
-                              surface.unit)
+    return CorrelationSurface(surface.t1[m:n1 - m], surface.t2[m:n2 - m], out)

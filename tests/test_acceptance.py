@@ -105,7 +105,7 @@ def test_criterion_4_surface_ridge_structure():
     tauc, taud = 100 * dt, 20 * dt
     step = dt / 3
     kernel = build_kernel(tauc, taud, step)
-    surface = smear_surface(p, kernel, 380 * dt)
+    surface = smear_surface(p, kernel, 259.5 * dt)
     r3 = rate**3
     center = surface.value_at(0.0, 0.0) - r3
     ridge = surface.value_at(0.0, 250 * dt) - r3

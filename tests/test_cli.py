@@ -25,10 +25,10 @@ from spdclab.cli import main
 from spdclab.runner import (
     _CHUNK_ROWS,
     _count_streams,
+    _curve,
     _write_table,
     read_curve_csv,
     run_compare,
-    write_curve_csv,
     write_surface_csv,
 )
 from spdclab.scenario import _ALL_KEYS
@@ -430,8 +430,8 @@ class TestCliCommands:
         delays = np.arange(-3, 4) * 1e-9
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_curve_csv(a, delays, np.ones(7), np.full(7, 0.1))
-        write_curve_csv(b, delays, np.ones(7) + 0.05, np.full(7, 0.1))
+        _write_table(a, [], *_curve(delays, np.ones(7), np.full(7, 0.1)))
+        _write_table(b, [], *_curve(delays, np.ones(7) + 0.05, np.full(7, 0.1)))
         out = tmp_path / "z.csv"
         assert main(["compare", str(a), str(b), "-o", str(out)]) == 0
         captured = capsys.readouterr().out
@@ -468,6 +468,20 @@ class TestCliCommands:
         assert code == 0
         assert (out / "window_tauc_s=4e-9" / "g2_si.csv").exists()
         assert (out / "window_tauc_s=5e-9" / "g2_si.csv").exists()
+
+    def test_sweep_repeated_value(self, config_path, tmp_path, monkeypatch, capsys):
+        # two workers on one value would write one directory's products at once
+        started = self._serial_pool(monkeypatch)
+        monkeypatch.setenv("SPDC_LAB_THREADS", "2")
+        out = tmp_path / "repeat"
+        code = main([
+            "sweep", config_path, "--key", "window.tauc_s",
+            "--values", "4e-9,5e-9, 5e-9", "-o", str(out), "smear",
+        ])
+        assert code == 2
+        assert "--values repeats '5e-9'" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
 
     def test_sweep_parallel_env(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SPDC_LAB_THREADS", "2")
@@ -594,7 +608,7 @@ class TestSurfaceCsv:
         # the writer reads only these fields, so a one-point axis, which
         # CorrelationSurface refuses, can still be written
         write_surface_csv(path, SimpleNamespace(t1=np.asarray(t1), t2=np.asarray(t2),
-                                                values=np.asarray(values), unit="per_s3"))
+                                                values=np.asarray(values)))
 
     def _body(self, tmp_path, t1, t2, values):
         path = tmp_path / "table.csv"

@@ -50,6 +50,14 @@ class TestBuildKernel:
         assert np.max(k.samples) == pytest.approx(k.plateau_height, rel=1e-9)
         assert k.samples.sum() * k.grid_step == pytest.approx(1.0, abs=1e-12)
 
+    def test_kernels_built_alike_compare_and_hash_alike(self):
+        a, b = build_kernel(5e-9, 1e-9, 5e-11), build_kernel(5e-9, 1e-9, 5e-11)
+        assert a == b and hash(a) == hash(b)
+        assert a.samples is not b.samples
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a != build_kernel(5e-9, 1e-9, 2.5e-11)
+        assert len({a, b, build_kernel(5e-9, 0.0, 5e-11)}) == 2
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(GridError):
             build_kernel(1.5e-9, 0.35e-9, 0.35e-9 / 10)
@@ -142,7 +150,7 @@ class TestSmearCurve:
         # it is checked against refuses a surface on another grid
         p = SourceParams(2e7, 1e-9)
         with pytest.raises(GridError, match="kernel grid"):
-            dense_smear_surface(dense_p_ssi(p, 2.5e-11, 3e-9),
+            dense_smear_surface(dense_p_ssi(p, np.arange(-120, 121) * 2.5e-11, 2.5e-11),
                                 build_kernel(1e-9, 0.0, 5e-11))
 
 
@@ -187,7 +195,7 @@ class TestSmearSurface:
         tauc, taud = 100 * dt, 25 * dt
         step = dt
         k = build_kernel(tauc, taud, step)
-        sm = smear_surface(p, k, 390 * dt)
+        sm = smear_surface(p, k, 264 * dt)
         r3 = rate**3
         x = k.plateau_height / rate
         far = sm.value_at(255 * dt, -255 * dt)
@@ -205,7 +213,7 @@ class TestSmearSurface:
         p = SourceParams(1e6, 1e-9)
         dt = p.coherence_time
         k = build_kernel(20 * dt, 4 * dt, dt / 5)
-        sm = smear_surface(p, k, 60 * dt)
+        sm = smear_surface(p, k, 35.7 * dt)
         assert np.allclose(sm.values, sm.values.T, rtol=1e-12)
 
     def test_memory_guard_before_allocation(self):
@@ -217,7 +225,7 @@ class TestSmearSurface:
         tracemalloc.start()
         try:
             with pytest.raises(GuardError, match="cells"):
-                smear_surface(p, k, 6000 * 5e-11)
+                smear_surface(p, k, 5978 * 5e-11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,11 +311,58 @@ class TestSmearSurface:
         mass = block.sum() * step**2
         assert mass == pytest.approx(2 * j * p.pair_rate**2 * 1e-9, rel=1e-5)
 
+    @pytest.mark.parametrize("dt, step", [(1e-9, 5e-11), (1e-9, 2e-10), (3e-10, 1e-10)])
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_triangle_block_matches_quadrature(self, dt, step):
+        # every cell average of 2 C(a) C(b) R(a - b) against nested quad, split
+        # at a = 0, b = 0, a = b, |a - b| = dt and |a|, |b| = dt, where the
+        # integrand has a kink or a square-root edge.  Measured: the worst
+        # cells are 2.7e-5, 5.7e-5 and 8.5e-5 of the block maximum off, the
+        # subcell midpoint rule for C; the quadrature agrees with itself at
+        # ten times tighter tolerances to 1e-15 (its warnings are spurious)
+        from scipy.integrate import quad
+
+        p = SourceParams(2e7, dt, "triangle")
+        r = p.pair_rate
+
+        def f(b, a):
+            ua, ub, ud = 1 - abs(a) / dt, 1 - abs(b) / dt, 1 - abs(a - b) / dt
+            return 2 * r * r / dt * (ua * ub) ** 0.5 * ud if min(ua, ub, ud) > 0 else 0.0
+
+        for a, b in ((0.2 * dt, -0.5 * dt), (-0.9 * dt, -0.3 * dt), (0.1 * dt, 0.7 * dt)):
+            assert f(b, a) == pytest.approx(
+                2 * model.cross_correlation(p, a) * model.cross_correlation(p, b)
+                * model.auto_correlation(p, a - b), rel=1e-14)
+
+        def integral(g, lo, hi, cuts, **kwargs):
+            edges = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+            return sum(quad(g, x, y, epsabs=0, **kwargs)[0]
+                       for x, y in zip(edges, edges[1:]))
+
+        def cell(a, b):
+            b0, b1 = b - step / 2, b + step / 2
+
+            def inner(x):
+                return integral(f, b0, b1, (0.0, x, x - dt, x + dt, -dt, dt),
+                                args=(x,), epsrel=1e-12)
+
+            # the inner integral kinks where a cut on b crosses the cell's edges
+            cuts = (0.0, -dt, dt, *(e + o for e in (b0, b1) for o in (-dt, 0.0, dt)))
+            return integral(inner, a - step / 2, a + step / 2, cuts, epsrel=1e-11) / step**2
+
+        grid = np.arange(-40, 41) * step
+        row0, col0, block = smearing._ccr_block(p, grid, step)
+        rows = grid[row0 : row0 + block.shape[0]]
+        cols = grid[col0 : col0 + block.shape[1]]
+        assert rows[0] < -dt and cols[-1] > dt
+        ref = np.array([[cell(a, b) for b in cols] for a in rows])
+        assert np.max(np.abs(block - ref)) <= 1e-4 * np.max(ref)
+
     def test_rejects_span_within_kernel_support(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)  # 243 samples
         with pytest.raises(GridError, match="kernel support"):
-            smear_surface(p, k, 6e-9)  # 241 grid points
+            smear_surface(p, k, 0.0)  # 243 grid points
 
     @pytest.mark.parametrize("shape, tauc, taud, step, half_span", [
         ("box", 5e-9, 1e-9, 5e-11, 2.605e-8),  # README desk: 1043^2 cells
@@ -319,19 +374,21 @@ class TestSmearSurface:
         )],
     ])
     def test_matches_dense_oracle(self, shape, tauc, taud, step, half_span):
+        # half_span is the sampled reach: max_delay + kernel support + one step
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(tauc, taud, step)
-        sm = smear_surface(p, k, half_span)
-        ref = dense_smear_surface(dense_p_ssi(p, step, half_span), k)
+        max_delay = half_span - k.support_halfwidth - step
+        sm = smear_surface(p, k, max_delay)
+        assert sm.t1[-1] + step / 2 > max_delay  # every grid point within it
+        ref = dense_smear_surface(dense_p_ssi(p, smearing._delay_grid(k, max_delay), step), k)
         assert np.array_equal(sm.t1, ref.t1) and np.array_equal(sm.t2, ref.t2)
-        assert sm.unit == ref.unit
         assert np.max(np.abs(sm.values - ref.values) / np.abs(ref.values)) <= 1e-12
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_far_cells_equal_far_corner(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(5e-9, 1e-9, 5e-11)
-        sm = smear_surface(p, k, 2.5e-8)
+        sm = smear_surface(p, k, 1.895e-8)
         a = sm.t1[:, None]
         b = sm.t2[None, :]
         # the ridges reach the peak support plus the kernel support from
@@ -355,7 +412,7 @@ class TestGbar2cAnalytic:
 
         # oracle: the t1 = 0 row of the smeared surface over R^3 and the
         # smeared g2_si at 0 and at tau
-        sm = smear_surface(p, k, 2.0e-8)
+        sm = smear_surface(p, k, 1.395e-8)
         g2_delays, g2_sm = numeric_smear(*_raw_g2_si(p, step, 400), k.samples, step)
         row = sm.values[np.argmin(np.abs(sm.t1))]
         oracle = np.array([
@@ -448,7 +505,7 @@ class TestSamplers:
 
         p = SourceParams(2e7, 1e-9)
         dt = p.coherence_time
-        surf = dense_p_ssi(p, dt / 200, 2.5 * dt)
+        surf = dense_p_ssi(p, np.arange(-500, 501) * (dt / 200), dt / 200)
         a = surf.t1[:, None]
         b = surf.t2[None, :]
         exact = p_ssi(p, a, b, 0.0)
