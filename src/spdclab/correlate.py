@@ -25,9 +25,10 @@ output histogram and bins each difference once for all of them, and it can
 count, per partner event, the differences that fall in one extra window.
 
 ``coincidence_histograms`` makes the two passes that ``count`` needs.  The
-signal1-idler pass also yields each idler's signal1 gate occupancy from the
-differences it forms; the idler-signal2 pass then counts the signal2-idler
-pairs (unit weight) and the triples (the idler's gate occupancy) at once.
+signal1-idler pass also counts the heralding pairs in the signal1 gate and
+yields each idler's gate occupancy from the differences it forms; the
+idler-signal2 pass then counts the signal2-idler pairs (unit weight) and
+the triples (the idler's gate occupancy) at once.
 ``triple_histogram`` is the triple part of that call.  Reference events
 are counted ``CHUNK_SIZE`` at a time, so memory is set by the chunk, not by
 the run.  Counting a stream in consecutive chunks gives bit-identical
@@ -256,32 +257,33 @@ def coincidence_histograms(
     s2: EventStream,
     delays,
     tauc: float,
-) -> tuple[Histogram, Histogram, Histogram]:
+) -> tuple[Histogram, Histogram, Histogram, int]:
     """Signal1-idler pairs, ``pair_histogram(s1, i, ...)``, signal2-idler
-    pairs, ``pair_histogram(s2, i, ...)``, and (idler, signal1, signal2)
-    triples from two passes.
+    pairs, ``pair_histogram(s2, i, ...)``, (idler, signal1, signal2) triples
+    and the heralding count, the signal1-idler pairs in the zero-delay gate,
+    from two passes.
 
-    The signal1 pass also counts each idler's signal1 gate occupancy from
-    the differences it forms anyway; the gate window is counted with the
-    grid's windows and its count dropped, so the grid need not hold 0.  The
-    idler pass bins the idler-signal2 differences once for the pairs and
-    for the triples, each weighted by its idler's occupancy.
+    The signal1 pass counts the gate window with the grid's windows, so the
+    grid need not hold 0, and it counts each idler's gate occupancy from the
+    differences it forms anyway.  The idler pass bins the idler-signal2
+    differences once for the pairs and for the triples, each weighted by its
+    idler's occupancy.
     """
     delays = np.asarray(delays, dtype=float)
     # the signal1 gate is the window at delay 0, appended as the last one
     lows, highs = _window_bounds(np.append(delays, 0.0), tauc)
     duration = _common_duration(i, s1, s2)
     n1 = np.zeros(len(i), dtype=np.int64)
-    pairs_s1 = _edge_binned_counts(
-        s1.timestamps, i.timestamps, lows, highs,
-        occupancy=(lows[-1], highs[-1], n1))[0, :-1]
+    (row,) = _edge_binned_counts(s1.timestamps, i.timestamps, lows, highs,
+                                 occupancy=(lows[-1], highs[-1], n1))
+    pairs_s1, heralds = row[:-1], int(row[-1])
     lows, highs = lows[:-1], highs[:-1]
     # idlers are the chunked reference so each one carries its gate weight;
     # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
     pairs_s2, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
                                             1 - lows, (None, n1))
-    return tuple(Histogram(delays, counts, duration, tauc)
-                 for counts in (pairs_s1, pairs_s2, triples))
+    return (*(Histogram(delays, counts, duration, tauc)
+              for counts in (pairs_s1, pairs_s2, triples)), heralds)
 
 
 def estimate_g2bar_si(

@@ -1,5 +1,5 @@
-"""Containers for sampled curves, surfaces and count histograms, and the
-lookup of a delay on their grids."""
+"""Containers for sampled curves, surfaces and count histograms: each holds
+its arrays and checks them on construction; none looks a delay up."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,24 +23,6 @@ def _check_uniform(delays: np.ndarray) -> float:
     return step
 
 
-def _grid_index(grid: np.ndarray, x):
-    """Index of the point of the ascending ``grid`` at ``x``, an int for a
-    scalar and an int array for an array of queries; raises ``GridError``
-    when a query is further than 1e-6 of the grid spacing from every point."""
-    q = np.asarray(x, dtype=float)
-    i = np.searchsorted(grid, q).clip(0, grid.size - 1)
-    # the nearest point is the one at or after the query or the one before
-    # it; a tie goes to the lower index
-    before = (i - 1).clip(0)
-    i = np.where(np.abs(grid[before] - q) <= np.abs(grid[i] - q), before, i)
-    spacing = np.min(np.diff(grid)) if grid.size > 1 else 0.0
-    off = ~(np.abs(grid[i] - q) <= 1e-6 * spacing)
-    if np.any(off):
-        raise GridError(f"{q[off][0]} is not a point of the grid "
-                        f"[{grid[0]}, {grid[-1]}]")
-    return int(i) if i.ndim == 0 else i
-
-
 @dataclass
 class CorrelationCurve:
     """A sampled one-dimensional delay curve on a uniform grid."""
@@ -56,14 +38,6 @@ class CorrelationCurve:
         _check_uniform(self.delays)
         if not np.all(np.isfinite(self.values)):
             raise GridError("curve values must be finite")
-
-    @property
-    def step(self) -> float:
-        return float(self.delays[1] - self.delays[0])
-
-    def value_at(self, delay: float) -> float:
-        """Value at a grid point; raises if ``delay`` is off-grid."""
-        return float(self.values[_grid_index(self.delays, delay)])
 
 
 @dataclass
@@ -87,14 +61,6 @@ class CorrelationSurface:
             raise GridError("surface axes must share one grid step")
         if self.values.shape != (self.t1.size, self.t2.size):
             raise GridError("values shape must be (len(t1), len(t2))")
-
-    @property
-    def step(self) -> float:
-        return float(self.t1[1] - self.t1[0])
-
-    def value_at(self, a: float, b: float) -> float:
-        """Value at a grid point; raises if ``(a, b)`` is off-grid."""
-        return float(self.values[_grid_index(self.t1, a), _grid_index(self.t2, b)])
 
 
 @dataclass
@@ -136,11 +102,3 @@ class EstimatorCurve:
         self.stderr = np.asarray(self.stderr, dtype=float)
         if not (self.values.shape == self.delays.shape == self.stderr.shape):
             raise GridError("delays, values and stderr must have equal shapes")
-
-    def value_at(self, delay: float) -> float:
-        """Value at a grid point; raises if ``delay`` is off-grid."""
-        return float(self.values[_grid_index(self.delays, delay)])
-
-    def stderr_at(self, delay: float) -> float:
-        """Standard error at a grid point; raises if ``delay`` is off-grid."""
-        return float(self.stderr[_grid_index(self.delays, delay)])

@@ -82,7 +82,7 @@ class EventStream:
 
     ``timestamps`` is a read-only array that owns its memory (any other
     input is copied), so no caller can write into it and the order checked
-    here holds for every consumer.
+    here holds for every consumer.  ``duration`` lies in [0, 2**63) ticks.
     """
 
     channel: str
@@ -92,6 +92,9 @@ class EventStream:
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
+        if not 0 <= self.duration < 2**63:
+            raise ValueError(f"duration must lie within [0, 2**63) ticks, "
+                             f"got {self.duration}")
         ts = np.asarray(self.timestamps, dtype=np.int64)
         if ts.flags.writeable or not ts.flags.owndata:
             ts = ts.copy()

@@ -82,7 +82,7 @@ def read_events(path) -> list[EventStream]:
     Each channel's timestamps are read straight into one aligned, read-only
     array, with no intermediate copy.  Any content that does not hold each
     channel once, in strictly increasing order within ``[0, duration]`` of
-    one shared, positive duration, raises ``EvtFormatError``.
+    one shared duration in [1, 2**63) ticks, raises ``EvtFormatError``.
     """
     path = os.fspath(path)
     streams: list[EventStream] = []

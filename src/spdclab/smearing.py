@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
-from .curves import CorrelationCurve, CorrelationSurface, _grid_index
+from .curves import CorrelationCurve, CorrelationSurface
 from .params import (MAX_CONVOLVE_WORK, MAX_SURFACE_CELLS, GridError, SourceParams,
                      guard, symmetric_grid)
 
@@ -78,22 +78,7 @@ class ResponseKernel:
         return (self.samples.size - 1) // 2
 
     def delays(self) -> np.ndarray:
-        n = self.half_len
-        return np.arange(-n, n + 1) * self.grid_step
-
-    def value(self, tau):
-        """Analytic (un-sampled) trapezoid value at ``tau``."""
-        tau = np.asarray(tau, dtype=float)
-        a = max(self.coincidence_halfwidth, self.jitter)
-        b = min(self.coincidence_halfwidth, self.jitter)
-        u = np.abs(tau)
-        flat = 1.0 / (2.0 * a)
-        if b == 0.0:
-            out = np.where(u <= a, flat, 0.0)
-        else:
-            ramp = (a + b - u) / (4.0 * a * b)
-            out = np.where(u <= a - b, flat, np.where(u <= a + b, ramp, 0.0))
-        return out if out.ndim else float(out)
+        return symmetric_grid(self.half_len, self.grid_step)
 
     def cumulative(self, tau):
         """Analytic integral of the trapezoid from -inf to ``tau``."""
@@ -287,6 +272,24 @@ def _delay_grid(kernel: ResponseKernel, delays) -> np.ndarray:
     return symmetric_grid(np.ceil((max_tau + kernel.support_halfwidth + h) / h), h)
 
 
+def _grid_index(grid: np.ndarray, x):
+    """Index of the point of the ascending ``grid`` at ``x``, an int for a
+    scalar and an int array for an array of queries; raises ``GridError``
+    when a query is further than 1e-6 of the grid spacing from every point."""
+    q = np.asarray(x, dtype=float)
+    i = np.searchsorted(grid, q).clip(0, grid.size - 1)
+    # the nearest point is the one at or after the query or the one before
+    # it; a tie goes to the lower index
+    before = (i - 1).clip(0)
+    i = np.where(np.abs(grid[before] - q) <= np.abs(grid[i] - q), before, i)
+    spacing = np.min(np.diff(grid)) if grid.size > 1 else 0.0
+    off = ~(np.abs(grid[i] - q) <= 1e-6 * spacing)
+    if np.any(off):
+        raise GridError(f"{q[off][0]} is not a point of the grid "
+                        f"[{grid[0]}, {grid[-1]}]")
+    return int(i) if i.ndim == 0 else i
+
+
 def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
     return (cumulative(grid + step / 2) - cumulative(grid - step / 2)) / step
 
@@ -312,7 +315,7 @@ def _g2_from_c2(params: SourceParams, kernel: ResponseKernel, c2_sm):
 
 
 def _ccr_block(
-    params: SourceParams, grid: np.ndarray, step: float, reach=np.inf, weights=None
+    params: SourceParams, grid: np.ndarray, step: float, reach: float, weights
 ) -> tuple[int, int, np.ndarray]:
     """Cell averages of the genuine triple term 2 C(a) C(b) R(a-b).
 
@@ -323,10 +326,10 @@ def _ccr_block(
     by mixed second differences of its second antiderivative, summed by parts
     over the steps of C at the (m + 1)^2 pairs of edges.  On the box, where C
     is constant on the support, every cell is exact.  Rows are kept for the
-    cells within ``reach`` of zero.  Returns the indices on ``grid`` of the
-    first row and column and the block (zero outside it), or, if ``weights``
-    maps the rows' indices on ``grid`` to a matrix with a column per row,
-    ``weights @ block``, built row by row.  Rows x cells x (m + 1)^2 past
+    cells within ``reach`` of zero.  ``weights`` maps the rows' indices on
+    ``grid`` to a matrix with a column per row.  Returns the indices on
+    ``grid`` of the first row and column and ``weights @ block`` (the block
+    zero outside it), built row by row.  Rows x cells x (m + 1)^2 past
     ``MAX_CONVOLVE_WORK`` raise ``GuardError`` before any row is formed.
     """
     s = model.support(params)
@@ -339,7 +342,7 @@ def _ccr_block(
     cross = model.cross_correlation(params, (edges[:, 1:] + edges[:, :-1]) / 2)
     # steps of C across the edges, C zero off the clipped cell and on an empty one
     steps = np.diff(cross * (hi > lo), prepend=0.0, append=0.0)
-    w = (np.eye(rows.size) if weights is None else weights(idx[rows])) * (-2 / step**2)
+    w = weights(idx[rows]) * (-2 / step**2)
     out = np.zeros((w.shape[0], idx.size))
     for j, i in enumerate(rows):
         p1 = model.auto_antider2(params, edges[i, :, None, None] - edges, 1)

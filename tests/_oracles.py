@@ -54,6 +54,38 @@ def brute_triple_counts(ti, ts1, ts2, delays_s, tauc_s):
     return out
 
 
+def at(curve, *point, field="values"):
+    """``curve.<field>`` at a grid point: one delay on a curve's ``delays``
+    or (t1, t2) on a surface's axes; ``GridError`` when it is off the grid."""
+    from spdclab.smearing import _grid_index
+
+    axes = (curve.t1, curve.t2) if hasattr(curve, "t1") else (curve.delays,)
+    index = tuple(_grid_index(grid, x) for grid, x in zip(axes, point, strict=True))
+    return float(getattr(curve, field)[index])
+
+
+def kernel_value(kernel, tau):
+    """The analytic (un-sampled) response trapezoid of ``kernel`` at ``tau``:
+    flat at 1 / (2a) over |tau| <= a - b, falling linearly to zero at a + b,
+    a and b the larger and the smaller of tau_c and tau_d."""
+    tau = np.asarray(tau, dtype=float)
+    a = max(kernel.coincidence_halfwidth, kernel.jitter)
+    b = min(kernel.coincidence_halfwidth, kernel.jitter)
+    u = np.abs(tau)
+    flat = 1.0 / (2.0 * a)
+    if b == 0.0:
+        out = np.where(u <= a, flat, 0.0)
+    else:
+        ramp = (a + b - u) / (4.0 * a * b)
+        out = np.where(u <= a - b, flat, np.where(u <= a + b, ramp, 0.0))
+    return out if out.ndim else float(out)
+
+
+def unit_weights(rows):
+    """The identity weights of ``smearing._ccr_block``: the block itself."""
+    return np.eye(rows.size)
+
+
 def numeric_smear(curve_delays, curve_values, kernel_values, step):
     """Riemann-sum convolution by explicit per-point summation (valid region)."""
     m = (len(kernel_values) - 1) // 2
@@ -104,7 +136,7 @@ def dense_p_ssi(params, grid, step):
     q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
-    row0, col0, block = smearing._ccr_block(params, grid, step)
+    row0, col0, block = smearing._ccr_block(params, grid, step, np.inf, unit_weights)
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
     return CorrelationSurface(grid, grid, values)
@@ -132,8 +164,9 @@ def dense_smear_surface(surface, kernel):
     per column, then one per row (valid region)."""
     from spdclab import CorrelationSurface, GridError
 
-    if abs(surface.step - kernel.grid_step) > 1e-9 * kernel.grid_step:
-        raise GridError(f"grid step {surface.step:g} differs from the kernel "
+    step = surface.t1[1] - surface.t1[0]
+    if abs(step - kernel.grid_step) > 1e-9 * kernel.grid_step:
+        raise GridError(f"grid step {step:g} differs from the kernel "
                         f"grid {kernel.grid_step:g}")
     k = kernel.samples
     m = kernel.half_len
@@ -144,5 +177,5 @@ def dense_smear_surface(surface, kernel):
     out = np.empty((n1 - 2 * m, n2 - 2 * m))
     for i in range(cols.shape[0]):
         out[i, :] = np.convolve(cols[i, :], k, mode="valid")
-    out *= surface.step * surface.step
+    out *= step * step
     return CorrelationSurface(surface.t1[m:n1 - m], surface.t2[m:n2 - m], out)

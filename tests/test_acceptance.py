@@ -26,7 +26,7 @@ from spdclab import correlate
 from spdclab.model import g2_c, g2_si
 from spdclab.runner import _count_streams
 
-from _oracles import brute_pair_counts, brute_triple_counts
+from _oracles import at, brute_pair_counts, brute_triple_counts
 
 
 def report(num, name, detail):
@@ -86,7 +86,7 @@ def test_criterion_3_excess_integral_conservation():
     for shape in ("box", "triangle"):
         p = SourceParams(rate, dt, shape)
         curve = smear_g2_si(p, kernel, np.arange(-409, 410) * step)
-        integral = np.sum(curve.values - 1.0) * curve.step
+        integral = np.sum(curve.values - 1.0) * (curve.delays[1] - curve.delays[0])
         assert integral == pytest.approx(1.0 / rate, rel=1e-6), shape
         smeared[shape] = curve.values
     diff = np.max(
@@ -107,9 +107,9 @@ def test_criterion_4_surface_ridge_structure():
     kernel = build_kernel(tauc, taud, step)
     surface = smear_surface(p, kernel, 259.5 * dt)
     r3 = rate**3
-    center = surface.value_at(0.0, 0.0) - r3
-    ridge = surface.value_at(0.0, 250 * dt) - r3
-    far = surface.value_at(250 * dt, -250 * dt)
+    center = at(surface, 0.0, 0.0) - r3
+    ridge = at(surface, 0.0, 250 * dt) - r3
+    far = at(surface, 250 * dt, -250 * dt)
     ratio = center / ridge
     assert abs(ratio - 2.0) <= 0.01
     assert far == pytest.approx(r3, rel=1e-6)
@@ -128,12 +128,12 @@ def test_criterion_5_end_to_end_monte_carlo():
     delays = np.arange(-25, 26) * 1e-9
     g2bar, gbar2c = mc_run(source, chain, 1.0, 2024, "poisson", delays, tauc)
 
-    plateau = g2bar.value_at(0.0)
-    sigma = g2bar.stderr_at(0.0)
+    plateau = at(g2bar, 0.0)
+    sigma = at(g2bar, 0.0, field="stderr")
     assert sigma / plateau < 0.01
     assert abs(plateau - 6.0) < 3 * sigma
 
-    short = gbar2c.value_at(0.0)
+    short = at(gbar2c, 0.0)
     assert abs(short - 11.0 / 36.0) / (11.0 / 36.0) < 0.05
 
     long_bins = np.abs(gbar2c.delays) >= 13e-9
@@ -213,8 +213,8 @@ def test_criterion_7_efficiency_invariance():
     for idx, label in ((0, "g2bar_si"), (1, "gbar2c")):
         full, half = curves[1.0][idx], curves[0.5][idx]
         for tau in (0.0, 15e-9):
-            delta = abs(full.value_at(tau) - half.value_at(tau))
-            sigma = np.hypot(full.stderr_at(tau), half.stderr_at(tau))
+            delta = abs(at(full, tau) - at(half, tau))
+            sigma = np.hypot(at(full, tau, field="stderr"), at(half, tau, field="stderr"))
             assert delta < 3 * sigma, (label, tau)
     report(7, "efficiency invariance",
            "halving both efficiencies moves g2bar_si and gbar2c by < 3 sigma")

@@ -15,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
-    CHANNELS,
     ConfigError,
-    EventStream,
-    GridError,
+    DetectorChain,
+    SourceParams,
+    apply_detector_chain,
+    gen_poisson_pairs,
     parse_scenario,
 )
 from spdclab.cli import main
@@ -221,7 +222,10 @@ class TestCliCommands:
         [(0, 10**12, [5]), (1, 10**12, [1]), (1, 10**12, [2]), (2, 10**12, [3])],
         [(0, 10**12, [5]), (1, 2 * 10**12, [1]), (2, 10**12, [3])],
         [(0, 0, [0]), (1, 0, [0]), (2, 0, [])],
-    ], ids=["unsorted", "missing", "repeated", "durations_differ", "zero_duration"])
+        # a duration past the int64 tick range, for every channel
+        [(0, 2**64 - 1, [5]), (1, 2**64 - 1, [1]), (2, 2**64 - 1, [2])],
+    ], ids=["unsorted", "missing", "repeated", "durations_differ", "zero_duration",
+            "duration_past_int64"])
     def test_malformed_evt_exit_code(self, config_path, tmp_path, capsys,
                                      channels):
         evt = tmp_path / "bad.evt"
@@ -569,10 +573,17 @@ class TestCliCommands:
         assert not out.exists()
 
 
-def test_count_needs_zero_delay():
-    streams = [EventStream(c, np.arange(0, 10**6, 10**4), 10**6) for c in CHANNELS]
-    with pytest.raises(GridError, match="0.0 is not a point"):
-        _count_streams(*streams, np.array([-1e-9, 1e-9]), 5e-10)
+def test_count_heralds_without_zero_delay():
+    # the heralding rate comes from the zero-delay gate, not from a grid
+    # point, so a grid without 0 gives the same gbar2_c where the grids meet
+    pairs = gen_poisson_pairs(SourceParams(2e7, 1e-9), 2e-3, 12)
+    streams = apply_detector_chain(pairs, DetectorChain(jitter_width=1e-9), 12)
+    with_zero = _count_streams(*streams, np.array([-1e-9, 0.0, 1e-9]), 5e-9)[3]
+    without = _count_streams(*streams, np.array([-1e-9, 1e-9]), 5e-9)[3]
+    assert np.array_equal(without.delays, with_zero.delays[[0, 2]])
+    for field in ("values", "stderr"):
+        assert (getattr(without, field).tobytes()
+                == getattr(with_zero, field)[[0, 2]].tobytes())
 
 
 def test_readme_sweep_example(tmp_path, monkeypatch):

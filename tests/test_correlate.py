@@ -31,9 +31,9 @@ from spdclab.correlate import (
     _ranks,
     _window_bounds,
 )
-from spdclab.curves import _grid_index
+from spdclab.smearing import _grid_index
 
-from _oracles import brute_pair_counts, brute_triple_counts
+from _oracles import at, brute_pair_counts, brute_triple_counts
 
 
 def stream(channel, seconds, duration=1e-3):
@@ -196,6 +196,17 @@ class TestTripleHistogram:
             assert np.array_equal(h.counts, base.counts)
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_heralds_match_brute_gate_count(seed):
+    # the heralds are the signal1-idler pairs in the zero-delay gate, counted
+    # with a grid that does not hold 0
+    pairs = gen_poisson_pairs(SourceParams(2e7, 1e-9), 1e-4, seed)
+    idler, s1, s2 = apply_detector_chain(pairs, DetectorChain(jitter_width=1e-9), seed)
+    heralds = coincidence_histograms(idler, s1, s2, np.array([-1e-9, 1e-9]), 5e-9)[3]
+    assert heralds > 0
+    assert heralds == brute_pair_counts(s1.timestamps, idler.timestamps, [0.0], 5e-9)[0]
+
+
 # Property tests on tick-level streams: a few dozen events over a run of at
 # most 120 ticks, so window edges, run edges and empty streams all occur.
 _PROPERTY = settings(max_examples=40, deadline=None)
@@ -296,8 +307,9 @@ class TestCountingProperties:
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
         with _chunked(chunk, max(len(i), len(s1))):
-            pairs_s1, pairs_s2, triples = coincidence_histograms(
+            pairs_s1, pairs_s2, triples, heralds = coincidence_histograms(
                 i, s1, s2, delays, tauc)
+        assert heralds == brute_pair_counts(s1.timestamps, i.timestamps, [0.0], tauc)[0]
         assert np.array_equal(
             pairs_s1.counts,
             brute_pair_counts(s1.timestamps, i.timestamps, delays, tauc))
@@ -380,18 +392,18 @@ def test_table_binning_matches_searchsorted(name, mirrored):
 class TestEstimators:
     def test_lookup_off_grid_raises(self):
         delays = np.arange(-20, 21) * 1e-9
-        est = EstimatorCurve(delays, np.arange(41.0), np.ones(41))
-        assert est.value_at(20e-9) == 40.0
-        assert est.stderr_at(-20e-9) == 1.0
+        assert _grid_index(delays, 20e-9) == 40 and _grid_index(delays, -20e-9) == 0
+        assert type(_grid_index(delays, 0.0)) is int
         for delay in (1.0, 0.5e-9, 21e-9):
-            with pytest.raises(GridError):
-                est.value_at(delay)
-            with pytest.raises(GridError):
-                est.stderr_at(delay)
-        surface = CorrelationSurface(delays, delays, np.zeros((41, 41)))
-        assert surface.value_at(20e-9, -20e-9) == 0.0
+            with pytest.raises(GridError, match="not a point of the grid"):
+                _grid_index(delays, delay)
+        est = EstimatorCurve(delays, np.arange(41.0), np.ones(41))
+        assert at(est, 20e-9) == 40.0
+        assert at(est, -20e-9, field="stderr") == 1.0
+        surface = CorrelationSurface(delays, delays, np.arange(41.0**2).reshape(41, 41))
+        assert at(surface, 20e-9, -20e-9) == 40 * 41
         with pytest.raises(GridError):
-            surface.value_at(0.0, 0.5e-9)
+            at(surface, 0.0, 0.5e-9)
 
     def test_lookup_array_matches_nearest_point(self):
         grid = np.arange(-400, 401) * 5e-11
@@ -420,10 +432,10 @@ class TestEstimators:
         delays = np.arange(-12, 13) * 1e-9
         h = pair_histogram(s1, idler, delays, 5e-9)
         est = estimate_g2bar_si(h, singles_rate(s1), singles_rate(idler))
-        plateau = est.value_at(0.0)
-        assert abs(plateau - 6.0) < 3 * est.stderr_at(0.0)
-        far = est.value_at(12e-9)
-        assert abs(far - 1.0) < 3 * est.stderr_at(12e-9)
+        plateau = at(est, 0.0)
+        assert abs(plateau - 6.0) < 3 * at(est, 0.0, field="stderr")
+        far = at(est, 12e-9)
+        assert abs(far - 1.0) < 3 * at(est, 12e-9, field="stderr")
 
     def test_gbar2c_long_delay_unity_and_flagging(self):
         src = SourceParams(2e7, 1e-9)
@@ -438,10 +450,10 @@ class TestEstimators:
         est = estimate_gbar2_c(
             tri, float(zero.rates[0]), pair2, singles_rate(idler)
         )
-        short = est.value_at(0.0)
+        short = at(est, 0.0)
         assert short == pytest.approx(11.0 / 36.0, rel=0.05)
-        far = est.value_at(20e-9)
-        assert abs(far - 1.0) < 4 * est.stderr_at(20e-9)
+        far = at(est, 20e-9)
+        assert abs(far - 1.0) < 4 * at(est, 20e-9, field="stderr")
 
     def test_efficiency_invariance(self):
         src = SourceParams(2e7, 1e-9)

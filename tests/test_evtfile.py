@@ -99,12 +99,20 @@ _GOOD = [(0, 100, [1, 50]), (1, 100, [2]), (2, 100, [3, 4])]
     (_GOOD[:2], "expected each"),
     ([*_GOOD, (1, 100, [7])], "expected each"),
     ([_GOOD[0], _GOOD[1], _GOOD[1]], "expected each"),
+    ([(c, 2**63, ticks) for c, _, ticks in _GOOD], "duration must lie within"),
 ])
 def test_malformed_content_rejected(tmp_path, channels, match):
     path = tmp_path / "bad.evt"
     path.write_bytes(raw_evt(*channels))
     with pytest.raises(EvtFormatError, match=match):
         read_events(path)
+
+
+def test_stream_duration_within_int64_ticks():
+    assert EventStream("idler", np.array([5]), 2**63 - 1).duration == 2**63 - 1
+    for duration in (-1, 2**63):
+        with pytest.raises(ValueError, match="duration must lie within"):
+            EventStream("idler", np.empty(0, np.int64), duration)
 
 
 def test_every_truncation_rejected(tmp_path):
@@ -130,10 +138,16 @@ def test_failed_write_leaves_no_tmp(tmp_path):
     streams = make_streams()
     write_events(streams, path)
     before = path.read_bytes()
-    # a duration beyond u64 fails to pack after the first channel is written
-    huge = EventStream("signal2", np.empty(0, np.int64), 2**64)
+    # a duration beyond u64 fails to pack after the first channel is written;
+    # EventStream refuses it, so a stand-in holds the fields the writer reads
+    class Huge:
+        channel, timestamps, duration = "signal2", np.empty(0, np.int64), 2**64
+
+        def __len__(self):
+            return 0
+
     with pytest.raises(struct.error):
-        write_events([streams[0], huge], path)
+        write_events([streams[0], Huge()], path)
     assert not (tmp_path / "run.evt.tmp").exists()
     assert path.read_bytes() == before
 

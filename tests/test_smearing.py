@@ -13,16 +13,16 @@ from spdclab import (
 )
 from spdclab import model, smearing
 
-from _oracles import (dense_p_ssi, dense_smear_surface, hexagon_cell_areas,
-                      numeric_smear)
+from _oracles import (at, dense_p_ssi, dense_smear_surface, hexagon_cell_areas,
+                      kernel_value, numeric_smear, unit_weights)
 
 
 class TestBuildKernel:
     def test_zero_jitter_box(self):
         k = build_kernel(1.5e-9, 0.0, 5e-11)
         assert k.plateau_height == pytest.approx(1 / 3e-9, rel=1e-14)
-        assert k.value(1.4e-9) == k.plateau_height
-        assert k.value(1.6e-9) == 0.0
+        assert kernel_value(k, 1.4e-9) == k.plateau_height
+        assert kernel_value(k, 1.6e-9) == 0.0
         assert k.samples.sum() * k.grid_step == pytest.approx(1.0, abs=1e-13)
 
     def test_trapezoid_geometry(self):
@@ -30,10 +30,10 @@ class TestBuildKernel:
         # beyond 1.85 ns
         k = build_kernel(1.5e-9, 0.35e-9, 1e-11)
         p = k.plateau_height
-        assert k.value(1.14e-9) == p
-        assert k.value(1.5e-9) == pytest.approx(p / 2, rel=1e-12)
-        assert k.value(1.86e-9) == 0.0
-        mid = (k.value(1.2e-9) + k.value(1.8e-9))
+        assert kernel_value(k, 1.14e-9) == p
+        assert kernel_value(k, 1.5e-9) == pytest.approx(p / 2, rel=1e-12)
+        assert kernel_value(k, 1.86e-9) == 0.0
+        mid = (kernel_value(k, 1.2e-9) + kernel_value(k, 1.8e-9))
         assert mid == pytest.approx(p, rel=1e-9)
 
     def test_plateau_height_and_area(self):
@@ -41,7 +41,7 @@ class TestBuildKernel:
         assert k.plateau_height == pytest.approx(1e8, rel=1e-14)
         # oracle: numeric quadrature of the analytic shape
         fine = np.linspace(-7e-9, 7e-9, 200001)
-        assert np.trapezoid(k.value(fine), fine) == pytest.approx(1.0, rel=1e-9)
+        assert np.trapezoid(kernel_value(k, fine), fine) == pytest.approx(1.0, rel=1e-9)
         assert k.samples.sum() * k.grid_step == pytest.approx(1.0, abs=1e-12)
 
     def test_jitter_dominated_reports_max_value(self):
@@ -126,7 +126,7 @@ class TestSmearCurve:
         out = smear_g2_si(p, k, np.arange(-389, 390) * 5e-10)
         target = 1.0 / p.pair_rate
         raw_excess = np.sum(raw - 1) * 5e-10
-        out_excess = np.sum(out.values - 1) * out.step
+        out_excess = np.sum(out.values - 1) * (out.delays[1] - out.delays[0])
         assert raw_excess == pytest.approx(target, rel=1e-12)
         assert out_excess == pytest.approx(target, rel=1e-6)
 
@@ -198,9 +198,9 @@ class TestSmearSurface:
         sm = smear_surface(p, k, 264 * dt)
         r3 = rate**3
         x = k.plateau_height / rate
-        far = sm.value_at(255 * dt, -255 * dt)
-        ridge = sm.value_at(0.0, 255 * dt)
-        center = sm.value_at(0.0, 0.0)
+        far = at(sm, 255 * dt, -255 * dt)
+        ridge = at(sm, 0.0, 255 * dt)
+        center = at(sm, 0.0, 0.0)
         assert far == pytest.approx(r3, rel=1e-6)
         assert ridge == pytest.approx(r3 * (1 + x), rel=1e-6)
         # center sits at R^3 (1 + 2X) up to the documented O(dt/tau_c)
@@ -240,7 +240,7 @@ class TestSmearSurface:
         grid = np.arange(-521, 522) * 5e-11
         tracemalloc.start()
         try:
-            block = smearing._ccr_block(p, grid, 5e-11)[-1]
+            block = smearing._ccr_block(p, grid, 5e-11, np.inf, unit_weights)[-1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +260,7 @@ class TestSmearSurface:
         tracemalloc.start()
         try:
             with pytest.raises(GuardError, match="central block work"):
-                smearing._ccr_block(p, grid, 5e-11, reach=5e-7)
+                smearing._ccr_block(p, grid, 5e-11, 5e-7, unit_weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,7 +272,8 @@ class TestSmearSurface:
         # 3 dt^2 / 4, on the desk grid whatever dt is
         p = SourceParams(2e7, dt)
         step = 5e-11
-        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step)[-1]
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.inf,
+                                   unit_weights)[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(1.5 * p.pair_rate**2 * dt, rel=1e-12)
 
@@ -281,7 +282,7 @@ class TestSmearSurface:
         p = SourceParams(1e6, dt)
         step = 5e-11
         grid = np.arange(-521, 522) * step
-        row0, col0, block = smearing._ccr_block(p, grid, step)
+        row0, col0, block = smearing._ccr_block(p, grid, step, np.inf, unit_weights)
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         area = hexagon_cell_areas(rows, cols, step, dt / 2)
@@ -307,7 +308,8 @@ class TestSmearSurface:
         assert j == pytest.approx(0.8654498469497874, rel=1e-10)
         p = SourceParams(2e7, 1e-9, "triangle")
         step = 5e-11
-        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step)[-1]
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.inf,
+                                   unit_weights)[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(2 * j * p.pair_rate**2 * 1e-9, rel=1e-5)
 
@@ -351,7 +353,7 @@ class TestSmearSurface:
             return integral(inner, a - step / 2, a + step / 2, cuts, epsrel=1e-11) / step**2
 
         grid = np.arange(-40, 41) * step
-        row0, col0, block = smearing._ccr_block(p, grid, step)
+        row0, col0, block = smearing._ccr_block(p, grid, step, np.inf, unit_weights)
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         assert rows[0] < -dt and cols[-1] > dt
@@ -437,17 +439,17 @@ class TestGbar2cAnalytic:
         breaks = [-6e-9, -4e-9, 4e-9, 6e-9]
 
         def window(t):  # integral of K(t + u) over |u| <= dt/2
-            return quad(k.value, t - dt / 2, t + dt / 2,
+            return quad(lambda u: kernel_value(k, u), t - dt / 2, t + dt / 2,
                         points=[b for b in breaks if abs(b - t) < dt / 2])[0]
 
-        d = quad(lambda t: k.value(t) * window(t), -6.5e-9, 6.5e-9,
+        d = quad(lambda t: kernel_value(k, t) * window(t), -6.5e-9, 6.5e-9,
                  points=[b + o for b in breaks for o in (-dt / 2, 0, dt / 2)],
                  limit=200)[0]
         x = k.plateau_height / p.pair_rate
         exact = ((1 + 2 * x + d + 3 * k.plateau_height**2 * dt / (2 * p.pair_rate))
                  / (1 + x) ** 2)
         curve = gbar2c_analytic(p, k, np.array([0.0, step]))
-        assert curve.value_at(0.0) == pytest.approx(exact, rel=1e-6)
+        assert at(curve, 0.0) == pytest.approx(exact, rel=1e-6)
 
     def test_extremes_match_predictions_when_scales_separate(self):
         mu = 1e-6
@@ -458,8 +460,8 @@ class TestGbar2cAnalytic:
         pred = predict_plateaus(p, k)
         taus = np.arange(-5, 6) * 500 * dt
         curve = gbar2c_analytic(p, k, taus)
-        assert curve.value_at(0.0) == pytest.approx(pred.gbar2c_short, rel=2e-3)
-        assert curve.value_at(2500 * dt) == pytest.approx(1.0, rel=1e-9)
+        assert at(curve, 0.0) == pytest.approx(pred.gbar2c_short, rel=2e-3)
+        assert at(curve, 2500 * dt) == pytest.approx(1.0, rel=1e-9)
 
     def test_transition_region_monotone_between_levels(self):
         p = SourceParams(2e7, 1e-9)
@@ -468,7 +470,7 @@ class TestGbar2cAnalytic:
         taus = np.arange(0, 81) * step  # 0 .. 20 ns
         curve = gbar2c_analytic(p, k, taus)
         pred = predict_plateaus(p, k)
-        v_edge = curve.value_at(5e-9)
+        v_edge = at(curve, 5e-9)
         assert pred.gbar2c_short < v_edge < 1.0
 
     def test_off_grid_delays_rejected(self):
