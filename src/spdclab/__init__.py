@@ -62,7 +62,7 @@ from .smearing import (
     build_kernel,
     gbar2c_analytic,
     predict_plateaus,
-    smear_g2_si,
+    smear_curves,
     smear_surface,
 )
 

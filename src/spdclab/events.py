@@ -52,12 +52,11 @@ _SUB_SIGNAL_KEEP = 2
 _SUB_ROUTE = 3
 # channel k of CHANNELS jitters from substream _SUB_JITTER + k
 _SUB_JITTER = 4
-_N_SUBSTREAMS = _SUB_JITTER + len(CHANNELS)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    children = np.random.SeedSequence(seed).spawn(_N_SUBSTREAMS)
-    return np.random.default_rng(children[index])
+    """The generator of child ``index`` of ``SeedSequence(seed).spawn``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-#: unit tags of product columns: rates and amplitudes are 1/s, triple rates
-#: 1/s^3
-UNIT_DIMENSIONLESS = "dimensionless"
-UNIT_PER_S = "per_s"
-UNIT_PER_S3 = "per_s3"
-
 #: rows joined into one string and handed to the file at a time
 _CHUNK_ROWS = 8192
 
@@ -84,23 +78,11 @@ def _header(scenario: Scenario | None) -> list[str]:
     return lines
 
 
-def _unit_names(unit: str, *names: str) -> list[str]:
-    """``names`` tagged with ``unit``; dimensionless ones stay plain."""
-    return [name if unit == UNIT_DIMENSIONLESS else f"{name}_{unit}" for name in names]
-
-
-def _curve(delays, values, stderr=None, unit: str = UNIT_DIMENSIONLESS):
-    """Column names and float columns of a delay curve product."""
-    columns = [delays, values] if stderr is None else [delays, values, stderr]
-    names = ["delay_s", *_unit_names(unit, "value", "stderr")][: len(columns)]
-    return (names, *(np.asarray(c, dtype=float) for c in columns))
-
-
 def write_surface_csv(path, surface: CorrelationSurface, header=()) -> None:
     """Write the triple-rate surface as ``t1_s,t2_s,value_per_s3`` rows, t2
     varying fastest; each axis label and each distinct value is formatted
     once."""
-    _write_table(path, header, ["t1_s", "t2_s", *_unit_names(UNIT_PER_S3, "value")],
+    _write_table(path, header, ["t1_s", "t2_s", "value_per_s3"],
                  surface.t1[:, None], surface.t2[None, :], surface.values)
 
 
@@ -144,14 +126,15 @@ def run_analytic(scenario: Scenario, outdir) -> dict[str, str]:
     src = scenario.source
     delays = scenario.window.delays()
     return _write_products(outdir, _header(scenario), {
-        "auto_correlation": _curve(delays, model.auto_correlation(src, delays),
-                                   unit=UNIT_PER_S),
-        "cross_correlation": _curve(delays, model.cross_correlation(src, delays),
-                                    unit=UNIT_PER_S),
-        "g2_si": _curve(delays, model.g2_si(src, delays)),
-        "g2_ss": _curve(delays, model.g2_ss_unconditional(src, delays)),
-        "p_ssi_diag": _curve(delays, model.p_ssi_diag(src, delays), unit=UNIT_PER_S3),
-        "g2_c_diag": _curve(delays, model.g2_c(src, 0.0, delays, 0.0)),
+        "auto_correlation": (["delay_s", "value_per_s"], delays,
+                             model.auto_correlation(src, delays)),
+        "cross_correlation": (["delay_s", "value_per_s"], delays,
+                              model.cross_correlation(src, delays)),
+        "g2_si": (["delay_s", "value"], delays, model.g2_si(src, delays)),
+        "g2_ss": (["delay_s", "value"], delays, model.g2_ss_unconditional(src, delays)),
+        "p_ssi_diag": (["delay_s", "value_per_s3"], delays,
+                       model.p_ssi_diag(src, delays)),
+        "g2_c_diag": (["delay_s", "value"], delays, model.g2_c(src, 0.0, delays, 0.0)),
     })
 
 
@@ -161,20 +144,18 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     window = scenario.window
     kernel = smearing.build_kernel(window.coincidence_halfwidth,
                                    scenario.chain.jitter_width, window.bin_width)
-    curve = smearing.smear_g2_si(src, kernel, window.delays())
-    gbar = smearing.gbar2c_analytic(src, kernel, window.delays())
+    g2, gbar = smearing.smear_curves(src, kernel, window.delays())
     pred = smearing.predict_plateaus(src, kernel)
     surface = smearing.smear_surface(src, kernel, window.span) if with_surface else None
 
     header = _header(scenario)
     out = _write_products(outdir, header, {
-        "kernel": _curve(kernel.delays(), kernel.samples, unit=UNIT_PER_S),
-        "g2_si_smeared": _curve(curve.delays, curve.values),
-        "gbar2_c_analytic": _curve(gbar.delays, gbar.values),
+        "kernel": (["delay_s", "value_per_s"], kernel.delays(), kernel.samples),
+        "g2_si_smeared": (["delay_s", "value"], g2.delays, g2.values),
+        "gbar2_c_analytic": (["delay_s", "value"], gbar.delays, gbar.values),
         "plateaus": (
             ["quantity", "value"],
-            ["X", "g2si_plateau", *_unit_names(UNIT_PER_S3, "nssi_short", "nssi_long"),
-             "gbar2c_short"],
+            ["X", "g2si_plateau", "nssi_short_per_s3", "nssi_long_per_s3", "gbar2c_short"],
             [pred.X, pred.g2si_plateau, pred.nssi_short, pred.nssi_long,
              pred.gbar2c_short]),
     })
@@ -236,13 +217,15 @@ def run_count(scenario: Scenario, evt_path, outdir) -> dict[str, str]:
         window.delays(), window.coincidence_halfwidth,
     )
     return _write_products(outdir, _header(scenario), {
-        "singles": (["channel", *_unit_names(UNIT_PER_S, "rate", "stderr")],
+        "singles": (["channel", "rate_per_s", "stderr_per_s"],
                     list(rates), [r.value for r in rates.values()],
                     [r.stderr for r in rates.values()]),
         **{name: (["delay_s", "counts"], hist.delays, hist.counts)
            for name, hist in histograms.items()},
-        "g2bar_si": _curve(g2bar.delays, g2bar.values, g2bar.stderr),
-        "gbar2_c": _curve(gbar2c.delays, gbar2c.values, gbar2c.stderr),
+        "g2bar_si": (["delay_s", "value", "stderr"], g2bar.delays, g2bar.values,
+                     g2bar.stderr),
+        "gbar2_c": (["delay_s", "value", "stderr"], gbar2c.delays, gbar2c.values,
+                    gbar2c.stderr),
     })
 
 

@@ -28,6 +28,7 @@ from .params import (
     ConfigError,
     DetectorChain,
     SourceParams,
+    TICKS_PER_SECOND,
     duration_to_ticks,
 )
 
@@ -70,9 +71,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"run.model must be one of {MODELS}")
-        if self.duration <= 0:
-            raise ConfigError("run.duration_s must be > 0")
-        duration_to_ticks(self.duration)
+        if duration_to_ticks(self.duration) < 1:
+            raise ConfigError(f"run.duration_s must be at least one tick "
+                              f"({1 / TICKS_PER_SECOND:g} s), got {self.duration!r}")
         needed = 2 * (self.window.coincidence_halfwidth + self.chain.jitter_width)
         if self.window.span < needed:
             raise ConfigError(

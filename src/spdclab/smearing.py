@@ -14,10 +14,11 @@ plateau is X = p / R, i.e. X = 1/(2 R tau_c) whenever tau_c > tau_d.
 Sampling is area-preserving everywhere: kernels and model curves are stored
 as cell averages (differences of exact antiderivatives), so discrete
 convolution conserves peak integrals exactly even when a correlation peak is
-much narrower than the grid step.  C(t)^2 is smeared by one expression:
-``smear_g2_si``, the ridges of ``smear_surface`` and the normalization of
-``gbar2c_analytic`` all read it, so they agree bit for bit; and all three
-sample on one grid rule (``_delay_grid``).
+much narrower than the grid step.  C(t)^2 is smeared once, in
+``_smeared_rows``: the ridges of ``smear_surface`` and both curves of
+``smear_curves`` (the smeared g2_si, and the conditioned coherence that
+divides by it) read it, so they agree bit for bit; and both functions sample
+on one grid rule (``_delay_grid``).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ __all__ = [
     "ResponseKernel",
     "PlateauPrediction",
     "build_kernel",
-    "smear_g2_si",
+    "smear_curves",
     "smear_surface",
     "predict_plateaus",
     "gbar2c_analytic",
@@ -117,22 +118,6 @@ def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel
     return ResponseKernel(tau_c, tau_d, grid_step)
 
 
-def smear_g2_si(
-    params: SourceParams, kernel: ResponseKernel, delays
-) -> CorrelationCurve:
-    """Window-averaged g2_si at ``delays``: s + (K * C^2)(tau) / R^2, s the
-    kernel's discrete area, so every value beyond the peak's reach is s bit
-    for bit.  Each delay must be a point of the kernel grid (``GridError``
-    otherwise).
-    """
-    delays = np.asarray(delays, dtype=float)
-    grid = _delay_grid(kernel, delays)
-    m = kernel.half_len
-    idx = _grid_index(grid[m : grid.size - m], delays)
-    values = _g2_from_c2(params, kernel, _smeared_c2(params, kernel, grid)[idx])
-    return CorrelationCurve(delays, values)
-
-
 def smear_surface(
     params: SourceParams, kernel: ResponseKernel, max_delay: float
 ) -> CorrelationSurface:
@@ -170,7 +155,8 @@ def _smeared_rows(
     params: SourceParams, kernel: ResponseKernel, grid: np.ndarray, rows: slice
 ) -> tuple[np.ndarray, np.ndarray]:
     """Output rows ``rows`` (t1 on the valid region of ``grid``, all t2) of
-    the smeared triple rate, and the cell averages of C(t)^2 smeared once.
+    the smeared triple rate, and the cell averages of C(t)^2 on ``grid``
+    smeared once by the kernel, on the valid region.
 
     Memory is O(n) plus the rows asked for and their central block rows.
     """
@@ -185,7 +171,7 @@ def _smeared_rows(
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
-    c2_sm = _smeared_c2(params, kernel, grid)
+    c2_sm = _convolve(_c2_cells(params, grid, h), k, "valid") * h
     ridge = r * s * c2_sm
     values = np.add.outer(r**3 * s**2 + ridge[rows], ridge)
 
@@ -299,21 +285,6 @@ def _c2_cells(params: SourceParams, grid: np.ndarray, step: float) -> np.ndarray
     return _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, step)
 
 
-def _smeared_c2(
-    params: SourceParams, kernel: ResponseKernel, grid: np.ndarray
-) -> np.ndarray:
-    """The cell averages of C(t)^2 on ``grid`` smeared once by the kernel,
-    on the valid region: ``grid`` less the kernel half-length at each end."""
-    h = kernel.grid_step
-    return _convolve(_c2_cells(params, grid, h), kernel.samples, "valid") * h
-
-
-def _g2_from_c2(params: SourceParams, kernel: ResponseKernel, c2_sm):
-    """The smeared g2_si s + (K * C^2) / R^2 from ``_smeared_c2``'s values,
-    s the kernel's discrete area."""
-    return kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
-
-
 def _ccr_block(
     params: SourceParams, grid: np.ndarray, step: float, reach: float, weights
 ) -> tuple[int, int, np.ndarray]:
@@ -355,27 +326,37 @@ def _ccr_block(
 
 
 # ---------------------------------------------------------------------------
-# Analytic window-averaged conditioned coherence.
+# Window-averaged delay curves.
 # ---------------------------------------------------------------------------
+
+
+def smear_curves(
+    params: SourceParams, kernel: ResponseKernel, delays
+) -> tuple[CorrelationCurve, CorrelationCurve]:
+    """Window-averaged g2_si and conditioned coherence gbar2_c at ``delays``.
+
+    g2_si is s + (K * C^2)(tau) / R^2, s the kernel's discrete area, so
+    every value beyond the peak's reach is s bit for bit.  gbar2_c is the
+    t1 = 0 row of the smeared triple rate, built by the code that builds
+    ``smear_surface``, over R^3 and that g2_si at 0 and at tau (from the same
+    ridge); it runs from (1+2X)/(1+X)^2 at short delays to 1 beyond twice
+    the window support.  Each delay must be a point of the kernel grid
+    (``GridError`` otherwise); no n^2 array is formed.
+    """
+    delays = np.asarray(delays, dtype=float)
+    m = kernel.half_len
+    grid = _delay_grid(kernel, delays)
+    i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
+    row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
+    idx = _grid_index(grid[m : grid.size - m], delays)
+    g2 = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
+    gbar = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
+    return CorrelationCurve(delays, g2[idx]), CorrelationCurve(delays, gbar)
 
 
 def gbar2c_analytic(
     params: SourceParams, kernel: ResponseKernel, tau_grid
 ) -> CorrelationCurve:
-    """Window-averaged conditioned coherence: the t1 = 0 row of the smeared
-    triple rate, built by the code that builds ``smear_surface``, over R^3
-    and the smeared g2_si at 0 and at tau (from the same ridge).
-
-    It runs from (1+2X)/(1+X)^2 at short delays to 1 beyond twice the window
-    support.  Each delay must be a point of the kernel grid (``GridError``
-    otherwise); no n^2 array is formed.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    m = kernel.half_len
-    grid = _delay_grid(kernel, tau_grid)
-    i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
-    row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
-    idx = _grid_index(grid[m : grid.size - m], tau_grid)
-    g2 = _g2_from_c2(params, kernel, c2_sm)
-    values = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
-    return CorrelationCurve(tau_grid, values)
+    """Window-averaged conditioned coherence: the gbar2_c of
+    ``smear_curves``."""
+    return smear_curves(params, kernel, tau_grid)[1]

@@ -18,7 +18,7 @@ from spdclab import (
     gen_thermal_cells,
     pair_histogram,
     singles_rate,
-    smear_g2_si,
+    smear_curves,
     smear_surface,
     triple_histogram,
 )
@@ -64,7 +64,7 @@ def test_criterion_2_smearing_plateau():
     tauc, taud = 1.5e-9, 0.35e-9
     step = 5e-12
     kernel = build_kernel(tauc, taud, step)
-    curve = smear_g2_si(p, kernel, np.arange(-429, 430) * step)
+    curve = smear_curves(p, kernel, np.arange(-429, 430) * step)[0]
     x = 1.0 / (2 * rate * tauc)
     assert x == pytest.approx(7.751937984496124, rel=1e-12)
     inside = np.abs(curve.delays) <= tauc - taud - 2 * step
@@ -85,7 +85,7 @@ def test_criterion_3_excess_integral_conservation():
     smeared = {}
     for shape in ("box", "triangle"):
         p = SourceParams(rate, dt, shape)
-        curve = smear_g2_si(p, kernel, np.arange(-409, 410) * step)
+        curve = smear_curves(p, kernel, np.arange(-409, 410) * step)[0]
         integral = np.sum(curve.values - 1.0) * (curve.delays[1] - curve.delays[0])
         assert integral == pytest.approx(1.0 / rate, rel=1e-6), shape
         smeared[shape] = curve.values

@@ -21,12 +21,12 @@ from spdclab import (
     apply_detector_chain,
     gen_poisson_pairs,
     parse_scenario,
+    read_events,
 )
 from spdclab.cli import main
 from spdclab.runner import (
     _CHUNK_ROWS,
     _count_streams,
-    _curve,
     _write_table,
     read_curve_csv,
     run_compare,
@@ -415,6 +415,23 @@ class TestCliCommands:
         assert "int64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["1e-300", "4e-16", "5e-16", "1e-15"])
+    def test_duration_below_one_tick(self, tmp_path, capsys, duration):
+        # 4e-16 and 5e-16 s round to 0 ticks (half to even), 1e-15 s is one
+        config = tmp_path / "short.ini"
+        config.write_text(DESK_CONFIG.replace("= 2e-3", f"= {duration}"))
+        out = tmp_path / "short"
+        code = main(["simulate", str(config), "-o", str(out)])
+        if duration == "1e-15":
+            assert code == 0
+            streams = read_events(out / "events.evt")
+            assert [s.duration for s in streams] == [1, 1, 1]
+            return
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert not out.exists()
+
     def test_reproducible_bodies(self, config_path, tmp_path):
         def body(path):
             lines = path.read_text().splitlines()
@@ -434,8 +451,9 @@ class TestCliCommands:
         delays = np.arange(-3, 4) * 1e-9
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        _write_table(a, [], *_curve(delays, np.ones(7), np.full(7, 0.1)))
-        _write_table(b, [], *_curve(delays, np.ones(7) + 0.05, np.full(7, 0.1)))
+        names = ["delay_s", "value", "stderr"]
+        _write_table(a, [], names, delays, np.ones(7), np.full(7, 0.1))
+        _write_table(b, [], names, delays, np.ones(7) + 0.05, np.full(7, 0.1))
         out = tmp_path / "z.csv"
         assert main(["compare", str(a), str(b), "-o", str(out)]) == 0
         captured = capsys.readouterr().out

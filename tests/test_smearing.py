@@ -8,7 +8,7 @@ from spdclab import (
     build_kernel,
     gbar2c_analytic,
     predict_plateaus,
-    smear_g2_si,
+    smear_curves,
     smear_surface,
 )
 from spdclab import model, smearing
@@ -81,7 +81,7 @@ class TestSmearCurve:
         # R = 43 MHz, mu = 1.4e-5, tau_c = 1.5 ns: plateau 1 + 1/(2 R tau_c)
         p = SourceParams(4.3e7, 1.4e-5 / 4.3e7)
         k = build_kernel(1.5e-9, 0.0, 5e-11)
-        curve = smear_g2_si(p, k, np.arange(-49, 50) * 5e-11)
+        curve = smear_curves(p, k, np.arange(-49, 50) * 5e-11)[0]
         x = 7.751937984496124
         inside = np.abs(curve.delays) <= 1.4e-9
         assert np.allclose(curve.values[inside], 1 + x, rtol=1e-9)
@@ -94,7 +94,7 @@ class TestSmearCurve:
         # value is the kernel's discrete area s, bit for bit
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(5e-9, 1e-9, 5e-11)
-        curve = smear_g2_si(p, k, np.arange(-400, 401) * 5e-11)
+        curve = smear_curves(p, k, np.arange(-400, 401) * 5e-11)[0]
         s = k.samples.sum() * k.grid_step
         reach = model.support(p) + k.support_halfwidth + k.grid_step
         far = np.abs(curve.delays) > reach
@@ -105,7 +105,7 @@ class TestSmearCurve:
     def test_plateau_shape_blind(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
-        curve = smear_g2_si(p, k, np.arange(-389, 390) * 5e-10)
+        curve = smear_curves(p, k, np.arange(-389, 390) * 5e-10)[0]
         x = k.plateau_height / p.pair_rate
         inside = np.abs(curve.delays) <= 7e-8
         assert np.allclose(curve.values[inside], 1 + x, rtol=1e-10)
@@ -115,15 +115,15 @@ class TestSmearCurve:
         pt = SourceParams(2e7, 1e-9, "triangle")
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
         delays = np.arange(-389, 390) * 5e-10
-        cb = smear_g2_si(pb, k, delays)
-        ct = smear_g2_si(pt, k, delays)
+        cb = smear_curves(pb, k, delays)[0]
+        ct = smear_curves(pt, k, delays)[0]
         assert np.max(np.abs(cb.values - ct.values) / cb.values) < 1e-3
 
     def test_excess_integral_conserved(self):
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(1e-7, 2.5e-8, 5e-10)
         _, raw = _raw_g2_si(p, 5e-10, 640)
-        out = smear_g2_si(p, k, np.arange(-389, 390) * 5e-10)
+        out = smear_curves(p, k, np.arange(-389, 390) * 5e-10)[0]
         target = 1.0 / p.pair_rate
         raw_excess = np.sum(raw - 1) * 5e-10
         out_excess = np.sum(out.values - 1) * (out.delays[1] - out.delays[0])
@@ -135,7 +135,7 @@ class TestSmearCurve:
         k = build_kernel(5e-9, 1e-9, 4e-11)
         grid, raw = _raw_g2_si(p, 4e-11, 350)
         d_ref, v_ref = numeric_smear(grid, raw, k.samples, 4e-11)
-        out = smear_g2_si(p, k, d_ref)
+        out = smear_curves(p, k, d_ref)[0]
         assert np.array_equal(out.delays, d_ref)
         assert np.allclose(out.values, v_ref, rtol=1e-12, atol=0)
 
@@ -143,7 +143,7 @@ class TestSmearCurve:
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)
         with pytest.raises(GridError, match="not a point of the grid"):
-            smear_g2_si(p, k, np.array([0.0, 1.23e-11]))
+            smear_curves(p, k, np.array([0.0, 1.23e-11]))
 
     def test_rejects_finer_curve(self):
         # smear_surface samples on the kernel grid itself; the dense oracle
