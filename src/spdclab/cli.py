@@ -21,7 +21,7 @@ import sys
 
 from . import runner
 from .params import ConfigError, GuardError, SpdcLabError
-from .scenario import _ALL_KEYS, _parse_flat, _scenario_from, load_scenario
+from .scenario import KEYS, load_scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,10 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_one(args_tuple):
-    text, key, value, outdir, product = args_tuple
-    scenario = _scenario_from({**_parse_flat(text), key: value})
-    dest = os.path.join(outdir, f"{key.replace('.', '_')}={value}")
+def _sweep_one(job):
+    scenario, dest, product = job
     _run_product(product, scenario, dest)
     return dest
 
@@ -92,10 +90,8 @@ def _thread_limit() -> int:
 
 
 def _run_sweep(args) -> int:
-    if args.key not in _ALL_KEYS:
-        raise ConfigError(
-            f"--key must be one of {', '.join(_ALL_KEYS)}, got {args.key!r}"
-        )
+    if args.key not in KEYS:
+        raise ConfigError(f"--key must be one of {', '.join(KEYS)}, got {args.key!r}")
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -105,8 +101,11 @@ def _run_sweep(args) -> int:
     if repeated:
         # each value writes its products to its own directory
         raise ConfigError(f"--values repeats {repeated[0]!r}")
-    jobs = [(text, args.key, v, args.outdir, args.product) for v in values]
-    workers = min(_thread_limit(), len(jobs), os.cpu_count() or 1)
+    workers = min(_thread_limit(), len(values), os.cpu_count() or 1)
+    # every value's scenario is checked before the first value runs
+    jobs = [(parse_scenario(text, {args.key: v}),
+             os.path.join(args.outdir, f"{args.key.replace('.', '_')}={v}"),
+             args.product) for v in values]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

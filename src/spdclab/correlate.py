@@ -30,10 +30,12 @@ yields each idler's gate occupancy from the differences it forms; the
 idler-signal2 pass then counts the signal2-idler pairs (unit weight) and
 the triples (the idler's gate occupancy) at once.
 ``triple_histogram`` is the triple part of that call.  Reference events
-are counted ``CHUNK_SIZE`` at a time, so memory is set by the chunk, not by
-the run.  Counting a stream in consecutive chunks gives bit-identical
-results, which is the sharding contract for parallel or out-of-core
-operation.
+are counted ``CHUNK_SIZE`` at a time.  That does not bound memory: the
+three channels and the int64 gate occupancy (one per idler) grow with the
+run length, and a chunk's difference arrays hold ``CHUNK_SIZE`` x partner
+rate x (2 span + 2 tau_c) values, so they grow with the rate and the span.
+Counting a stream in consecutive chunks gives bit-identical results, which
+is the sharding contract for parallel or out-of-core operation.
 """
 from __future__ import annotations
 

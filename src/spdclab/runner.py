@@ -72,10 +72,9 @@ def _write_table(path, header: list[str], names, *columns) -> None:
     _atomic_write(path, chunks())
 
 
-def _header(scenario: Scenario | None) -> list[str]:
-    lines = [] if scenario is None else list(scenario.header_lines())
-    lines.append(f"# generated_at = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
-    return lines
+def _header(scenario: Scenario) -> list[str]:
+    return [*scenario.header_lines(),
+            f"# generated_at = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}"]
 
 
 def write_surface_csv(path, surface: CorrelationSurface, header=()) -> None:

@@ -17,6 +17,9 @@ configuration error.  Recognized keys:
     run.duration_s            simulated acquisition time (s)
     run.seed                  integer RNG seed >= 0   (default 1)
     run.model                 thermal | poisson       (default poisson)
+
+:data:`KEYS` is the one list of these keys in code: parsing, the defaults
+and the header block of every product all read it.
 """
 from __future__ import annotations
 
@@ -32,28 +35,26 @@ from .params import (
     duration_to_ticks,
 )
 
-__all__ = ["Scenario", "parse_scenario", "load_scenario"]
+__all__ = ["KEYS", "Scenario", "parse_scenario", "load_scenario"]
 
-_DEFAULTS = {
-    "source.shape": "box",
-    "chain.eta_idler": "1.0",
-    "chain.eta_signal": "1.0",
-    "chain.splitter": "0.5",
-    "chain.jitter_s": "0.0",
-    "run.seed": "1",
-    "run.model": "poisson",
+#: key -> (part, field name, parser, default text or None if required), in
+#: header order; a part is the ``source``, ``chain``, ``window`` or ``run``
+#: fields of a :class:`Scenario`
+KEYS = {
+    "source.rate_hz": ("source", "pair_rate", float, None),
+    "source.coherence_time_s": ("source", "coherence_time", float, None),
+    "window.tauc_s": ("window", "coincidence_halfwidth", float, None),
+    "window.bin_s": ("window", "bin_width", float, None),
+    "window.span_s": ("window", "span", float, None),
+    "run.duration_s": ("run", "duration", float, None),
+    "source.shape": ("source", "shape", str, "box"),
+    "chain.eta_idler": ("chain", "idler_efficiency", float, "1.0"),
+    "chain.eta_signal": ("chain", "signal_efficiency", float, "1.0"),
+    "chain.splitter": ("chain", "splitter_ratio", float, "0.5"),
+    "chain.jitter_s": ("chain", "jitter_width", float, "0.0"),
+    "run.seed": ("run", "seed", int, "1"),
+    "run.model": ("run", "model", str, "poisson"),
 }
-
-_REQUIRED = (
-    "source.rate_hz",
-    "source.coherence_time_s",
-    "window.tauc_s",
-    "window.bin_s",
-    "window.span_s",
-    "run.duration_s",
-)
-
-_ALL_KEYS = tuple(_REQUIRED) + tuple(_DEFAULTS)
 
 MODELS = ("thermal", "poisson")
 
@@ -69,6 +70,8 @@ class Scenario:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
         if self.model not in MODELS:
             raise ConfigError(f"run.model must be one of {MODELS}")
         if duration_to_ticks(self.duration) < 1:
@@ -83,10 +86,8 @@ class Scenario:
 
     def header_lines(self) -> list[str]:
         """Full provenance block embedded in every emitted product."""
-        lines = ["# spdclab scenario"]
-        for key in _ALL_KEYS:
-            lines.append(f"# {key} = {self.raw.get(key, '')}")
-        return lines
+        return ["# spdclab scenario",
+                *(f"# {key} = {self.raw.get(key, '')}" for key in KEYS)]
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -105,60 +106,30 @@ def _parse_flat(text: str) -> dict[str, str]:
     return values
 
 
-def _get_float(values: dict[str, str], key: str) -> float:
-    try:
-        value = float(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {values[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: not a finite number: {values[key]!r}")
-    return value
-
-
-def parse_scenario(text: str) -> Scenario:
-    return _scenario_from(_parse_flat(text))
-
-
-def _scenario_from(values: dict[str, str]) -> Scenario:
-    """Validate the key-value pairs of one scenario and build it."""
-    unknown = set(values) - set(_ALL_KEYS)
+def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenario:
+    """Validate a scenario file's text and build it; ``overrides`` replaces
+    or adds ``{key: value}`` pairs before any key is checked."""
+    values = {**_parse_flat(text), **(overrides or {})}
+    unknown = set(values) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = [key for key in _REQUIRED if key not in values]
+    missing = [key for key, (*_, default) in KEYS.items()
+               if default is None and key not in values]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
-    merged = {**_DEFAULTS, **values}
-    try:
-        seed = int(merged["run.seed"])
-    except ValueError as exc:
-        raise ConfigError(f"run.seed: not an integer: {merged['run.seed']!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {seed}")
-    source = SourceParams(
-        pair_rate=_get_float(merged, "source.rate_hz"),
-        coherence_time=_get_float(merged, "source.coherence_time_s"),
-        shape=merged["source.shape"],
-    )
-    chain = DetectorChain(
-        idler_efficiency=_get_float(merged, "chain.eta_idler"),
-        signal_efficiency=_get_float(merged, "chain.eta_signal"),
-        splitter_ratio=_get_float(merged, "chain.splitter"),
-        jitter_width=_get_float(merged, "chain.jitter_s"),
-    )
-    window = AnalysisWindow(
-        coincidence_halfwidth=_get_float(merged, "window.tauc_s"),
-        bin_width=_get_float(merged, "window.bin_s"),
-        span=_get_float(merged, "window.span_s"),
-    )
-    return Scenario(
-        source=source,
-        chain=chain,
-        window=window,
-        duration=_get_float(merged, "run.duration_s"),
-        seed=seed,
-        model=merged["run.model"],
-        raw=merged,
-    )
+    raw = {key: values.get(key, default) for key, (*_, default) in KEYS.items()}
+    parts: dict[str, dict] = {"source": {}, "chain": {}, "window": {}, "run": {}}
+    for key, (part, name, parse, _) in KEYS.items():
+        try:
+            value = parse(raw[key])
+        except ValueError as exc:
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{key}: not {kind}: {raw[key]!r}") from exc
+        if parse is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: not a finite number: {raw[key]!r}")
+        parts[part][name] = value
+    return Scenario(SourceParams(**parts["source"]), DetectorChain(**parts["chain"]),
+                    AnalysisWindow(**parts["window"]), **parts["run"], raw=raw)
 
 
 def load_scenario(path) -> Scenario:

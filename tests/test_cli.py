@@ -32,7 +32,7 @@ from spdclab.runner import (
     run_compare,
     write_surface_csv,
 )
-from spdclab.scenario import _ALL_KEYS
+from spdclab.scenario import KEYS
 
 from _oracles import raw_evt, table_csv_body
 
@@ -366,7 +366,7 @@ class TestCliCommands:
             assert body and not re.search("nan|inf", "\n".join(body)), path.name
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(key=st.sampled_from(_ALL_KEYS), value=st.sampled_from(_FUZZ_VALUES),
+    @given(key=st.sampled_from(list(KEYS)), value=st.sampled_from(_FUZZ_VALUES),
            command=st.sampled_from(_FUZZ_COMMANDS))
     @example(key="source.coherence_time_s", value="1e-20", command="smear")
     @example(key="source.coherence_time_s", value="1e-300", command="smear")
@@ -485,6 +485,38 @@ class TestCliCommands:
         out = tmp_path / "sweep"
         code = main([
             "sweep", config_path, "--key", "window.tauc_s",
+            "--values", "4e-9,5e-9", "-o", str(out), "analytic",
+        ])
+        assert code == 0
+        assert (out / "window_tauc_s=4e-9" / "g2_si.csv").exists()
+        assert (out / "window_tauc_s=5e-9" / "g2_si.csv").exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ("5e-9,abc", "window.tauc_s: not a number: 'abc'"),
+        ("5e-9,0", "coincidence_halfwidth must be > 0"),
+    ], ids=["not_a_number", "zero_window"])
+    def test_sweep_bad_value_runs_none(self, config_path, tmp_path, capsys,
+                                       values, message):
+        # a scenario error in any value exits before the first value runs
+        out = tmp_path / "out"
+        code = main([
+            "sweep", config_path, "--key", "window.tauc_s",
+            "--values", values, "-o", str(out), "smear",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_key_left_out_of_config(self, tmp_path):
+        # the swept value stands in for a required key the config leaves out
+        config = tmp_path / "no_tauc.ini"
+        config.write_text(re.sub(r"^window\.tauc_s\s*=.*\n", "", DESK_CONFIG,
+                                 flags=re.M))
+        with pytest.raises(ConfigError, match="missing keys: window.tauc_s"):
+            parse_scenario(config.read_text())
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", str(config), "--key", "window.tauc_s",
             "--values", "4e-9,5e-9", "-o", str(out), "analytic",
         ])
         assert code == 0
