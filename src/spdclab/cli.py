@@ -46,10 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     smear.add_argument("--surface", action="store_true",
                        help="also emit the smeared triple-rate surface")
     scenario_cmd("simulate", "generate event streams")
-    count = sub.add_parser("count", help="count coincidences in an .evt file")
-    count.add_argument("config")
-    count.add_argument("events", help=".evt file")
-    count.add_argument("-o", "--outdir", required=True)
+    scenario_cmd("count", "count coincidences in an .evt file").add_argument(
+        "events", help=".evt file")
 
     compare = sub.add_parser("compare", help="z-scores between two curves")
     compare.add_argument("curve_a")

@@ -11,7 +11,7 @@ from .params import GridError
 _REL_STEP_TOL = 1e-9
 
 
-def _check_uniform(delays: np.ndarray) -> float:
+def _check_uniform(delays: np.ndarray) -> None:
     if delays.ndim != 1 or delays.size < 2:
         raise GridError("grid needs at least two points")
     steps = np.diff(delays)
@@ -20,7 +20,6 @@ def _check_uniform(delays: np.ndarray) -> float:
     step = float(steps[0])
     if np.any(np.abs(steps - step) > _REL_STEP_TOL * max(step, 1e-300)):
         raise GridError("grid must be uniform")
-    return step
 
 
 @dataclass
@@ -44,23 +43,20 @@ class CorrelationCurve:
 class CorrelationSurface:
     """A sampled two-dimensional correlation surface on a square uniform grid.
 
-    Axes are the two detection delays relative to the conditioning event.
+    Both detection delays t1 and t2, relative to the conditioning event, run
+    over the one ``axis``; ``values[i, j]`` is the surface at
+    (``axis[i]``, ``axis[j]``).
     """
 
-    t1: np.ndarray
-    t2: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.t1 = np.asarray(self.t1, dtype=float)
-        self.t2 = np.asarray(self.t2, dtype=float)
+        self.axis = np.asarray(self.axis, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        s1 = _check_uniform(self.t1)
-        s2 = _check_uniform(self.t2)
-        if abs(s1 - s2) > _REL_STEP_TOL * s1:
-            raise GridError("surface axes must share one grid step")
-        if self.values.shape != (self.t1.size, self.t2.size):
-            raise GridError("values shape must be (len(t1), len(t2))")
+        _check_uniform(self.axis)
+        if self.values.shape != (self.axis.size,) * 2:
+            raise GridError("values shape must be (len(axis), len(axis))")
 
 
 @dataclass

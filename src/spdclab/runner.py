@@ -78,11 +78,11 @@ def _header(scenario: Scenario) -> list[str]:
 
 
 def write_surface_csv(path, surface: CorrelationSurface, header=()) -> None:
-    """Write the triple-rate surface as ``t1_s,t2_s,value_per_s3`` rows, t2
-    varying fastest; each axis label and each distinct value is formatted
-    once."""
+    """Write the triple-rate surface as ``t1_s,t2_s,value_per_s3`` rows, t1
+    and t2 both read off its one axis, t2 varying fastest; each axis label
+    and each distinct value is formatted once."""
     _write_table(path, header, ["t1_s", "t2_s", "value_per_s3"],
-                 surface.t1[:, None], surface.t2[None, :], surface.values)
+                 surface.axis[:, None], surface.axis[None, :], surface.values)
 
 
 def read_curve_csv(path):
@@ -245,7 +245,9 @@ def run_compare(path_a, path_b, out_path=None) -> CompareResult:
         if np.all(np.isnan(e)):
             raise SpdcLabError(f"{os.fspath(path)}: no stderr value, "
                                "so no z-score can be formed")
-    if da.shape != db.shape or np.any(np.abs(da - db) > 1e-12 + 1e-9 * np.abs(da)):
+    # each delay of b must be a's grid point in its row, by the one grid-point rule
+    if da.shape != db.shape or np.any(
+            smearing._grid_index(da, db) != np.arange(da.size)):
         raise GridError("compare inputs must share one delay grid")
     denom = np.sqrt(ea**2 + eb**2)
     z = np.where(denom > 0, (va - vb) / np.where(denom > 0, denom, 1.0), np.nan)

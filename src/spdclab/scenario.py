@@ -24,7 +24,7 @@ and the header block of every product all read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .params import (
     AnalysisWindow,
@@ -67,7 +67,6 @@ class Scenario:
     duration: float
     seed: int
     model: str
-    raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -85,9 +84,14 @@ class Scenario:
             )
 
     def header_lines(self) -> list[str]:
-        """Full provenance block embedded in every emitted product."""
+        """Provenance block embedded in every emitted product: each key's
+        built value, so the block with ``# `` stripped is a scenario file
+        that ``parse_scenario`` reads back to an equal ``Scenario``."""
+        parts = {"source": self.source, "chain": self.chain, "window": self.window,
+                 "run": self}
         return ["# spdclab scenario",
-                *(f"# {key} = {self.raw.get(key, '')}" for key in KEYS)]
+                *(f"# {key} = {getattr(parts[part], name)}"
+                  for key, (part, name, *_) in KEYS.items())]
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -117,19 +121,19 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
                if default is None and key not in values]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
-    raw = {key: values.get(key, default) for key, (*_, default) in KEYS.items()}
     parts: dict[str, dict] = {"source": {}, "chain": {}, "window": {}, "run": {}}
-    for key, (part, name, parse, _) in KEYS.items():
+    for key, (part, name, parse, default) in KEYS.items():
+        given = values.get(key, default)
         try:
-            value = parse(raw[key])
+            value = parse(given)
         except ValueError as exc:
             kind = "an integer" if parse is int else "a number"
-            raise ConfigError(f"{key}: not {kind}: {raw[key]!r}") from exc
+            raise ConfigError(f"{key}: not {kind}: {given!r}") from exc
         if parse is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: not a finite number: {raw[key]!r}")
+            raise ConfigError(f"{key}: not a finite number: {given!r}")
         parts[part][name] = value
     return Scenario(SourceParams(**parts["source"]), DetectorChain(**parts["chain"]),
-                    AnalysisWindow(**parts["window"]), **parts["run"], raw=raw)
+                    AnalysisWindow(**parts["window"]), **parts["run"])
 
 
 def load_scenario(path) -> Scenario:

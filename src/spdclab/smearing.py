@@ -147,8 +147,7 @@ def smear_surface(
     n = grid.size
     guard("surface cells", n * n, MAX_SURFACE_CELLS)
     values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
-    axis = grid[m : n - m]
-    return CorrelationSurface(axis, axis, values)
+    return CorrelationSurface(grid[m : n - m], values)
 
 
 def _smeared_rows(

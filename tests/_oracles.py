@@ -56,10 +56,10 @@ def brute_triple_counts(ti, ts1, ts2, delays_s, tauc_s):
 
 def at(curve, *point, field="values"):
     """``curve.<field>`` at a grid point: one delay on a curve's ``delays``
-    or (t1, t2) on a surface's axes; ``GridError`` when it is off the grid."""
+    or (t1, t2) on a surface's axis; ``GridError`` when it is off the grid."""
     from spdclab.smearing import _grid_index
 
-    axes = (curve.t1, curve.t2) if hasattr(curve, "t1") else (curve.delays,)
+    axes = (curve.axis,) * 2 if hasattr(curve, "axis") else (curve.delays,)
     index = tuple(_grid_index(grid, x) for grid, x in zip(axes, point, strict=True))
     return float(getattr(curve, field)[index])
 
@@ -139,7 +139,7 @@ def dense_p_ssi(params, grid, step):
     row0, col0, block = smearing._ccr_block(params, grid, step, np.inf, unit_weights)
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
-    return CorrelationSurface(grid, grid, values)
+    return CorrelationSurface(grid, values)
 
 
 def hexagon_cell_areas(a, b, step, half):
@@ -164,18 +164,18 @@ def dense_smear_surface(surface, kernel):
     per column, then one per row (valid region)."""
     from spdclab import CorrelationSurface, GridError
 
-    step = surface.t1[1] - surface.t1[0]
+    step = surface.axis[1] - surface.axis[0]
     if abs(step - kernel.grid_step) > 1e-9 * kernel.grid_step:
         raise GridError(f"grid step {step:g} differs from the kernel "
                         f"grid {kernel.grid_step:g}")
     k = kernel.samples
     m = kernel.half_len
-    n1, n2 = surface.values.shape
-    cols = np.empty((n1 - 2 * m, n2))
-    for j in range(n2):
+    n = surface.axis.size
+    cols = np.empty((n - 2 * m, n))
+    for j in range(n):
         cols[:, j] = np.convolve(surface.values[:, j], k, mode="valid")
-    out = np.empty((n1 - 2 * m, n2 - 2 * m))
+    out = np.empty((n - 2 * m, n - 2 * m))
     for i in range(cols.shape[0]):
         out[i, :] = np.convolve(cols[i, :], k, mode="valid")
     out *= step * step
-    return CorrelationSurface(surface.t1[m:n1 - m], surface.t2[m:n2 - m], out)
+    return CorrelationSurface(surface.axis[m:n - m], out)

@@ -7,7 +7,6 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
+    AnalysisWindow,
     ConfigError,
+    CorrelationSurface,
     DetectorChain,
+    Scenario,
     SourceParams,
     apply_detector_chain,
     gen_poisson_pairs,
@@ -29,7 +31,11 @@ from spdclab.runner import (
     _count_streams,
     _write_table,
     read_curve_csv,
+    run_analytic,
     run_compare,
+    run_count,
+    run_simulate,
+    run_smear,
     write_surface_csv,
 )
 from spdclab.scenario import KEYS
@@ -52,6 +58,17 @@ run.duration_s         = 2e-3
 run.seed               = 11
 run.model              = poisson
 """
+
+
+def header_scenario(path):
+    """The scenario a product's header block names: its ``# `` lines with
+    ``# `` stripped, less the ``spdclab scenario`` and ``generated_at``
+    lines, read as a scenario file."""
+    lines = [ln[2:] for ln in Path(path).read_text().splitlines()
+             if ln.startswith("# ")]
+    return parse_scenario("\n".join(
+        ln for ln in lines
+        if ln != "spdclab scenario" and not ln.startswith("generated_at = ")))
 
 
 @pytest.fixture
@@ -130,7 +147,7 @@ class TestCliCommands:
             assert (out / f"{name}.csv").exists()
         text = (out / "g2_si.csv").read_text()
         assert text.startswith("# spdclab scenario")
-        assert "# source.rate_hz = 2e7" in text
+        assert header_scenario(out / "g2_si.csv") == parse_scenario(DESK_CONFIG)
         assert "delay_s,value" in text
         d, v, _ = read_curve_csv(out / "g2_si.csv")
         assert v[np.argmin(np.abs(d))] == pytest.approx(51.0)
@@ -463,6 +480,35 @@ class TestCliCommands:
         assert np.allclose(result.z, expected)
         assert result.max_abs_z == pytest.approx(abs(expected))
 
+    def test_compare_one_grid_rule(self, tmp_path, capsys):
+        # a delay of b is a's grid point only within 1e-6 of a's spacing, as
+        # in the smearing layer's lookup, however fine the grid: a half-bin
+        # shift and a step 4e-3 off are refused
+        n = np.arange(-100, 101)
+        a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "z.csv"
+        names = ["delay_s", "value", "stderr"]
+        for step_a, step_b, shift in ((1e-14, 1e-14, 0.5e-14), (1e-13, 1.004e-13, 0.0)):
+            _write_table(a, [], names, n * step_a, np.ones(201), np.full(201, 0.1))
+            _write_table(b, [], names, n * step_b + shift, np.ones(201),
+                         np.full(201, 0.1))
+            assert main(["compare", str(a), str(b), "-o", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert not out.exists()
+        # every estimator product of one scenario, either model, still compares
+        products = []
+        for model in ("poisson", "thermal"):
+            config = tmp_path / f"{model}.ini"
+            config.write_text(DESK_CONFIG.replace("= poisson", f"= {model}"))
+            assert main(["simulate", str(config), "-o", str(tmp_path / model)]) == 0
+            assert main(["count", str(config), str(tmp_path / model / "events.evt"),
+                         "-o", str(tmp_path / model)]) == 0
+            products += [tmp_path / model / name for name in ("g2bar_si.csv",
+                                                              "gbar2_c.csv")]
+        for pa in products:
+            for pb in products:
+                assert main(["compare", str(pa), str(pb), "-o", str(out)]) == 0
+
     @pytest.mark.parametrize("name, message", [
         ("singles.csv", "line "),
         ("plateaus.csv", "line "),
@@ -636,6 +682,24 @@ def test_count_heralds_without_zero_delay():
                 == getattr(with_zero, field)[[0, 2]].tobytes())
 
 
+@pytest.mark.parametrize("built", ["parsed", "library"])
+def test_header_block_parses_back(tmp_path, built):
+    """Every product header of ``analytic``, ``smear --surface`` and
+    ``count`` names the scenario that made it, whether it was parsed from a
+    file or built in code."""
+    scenario = parse_scenario(DESK_CONFIG) if built == "parsed" else Scenario(
+        SourceParams(2e7, 1e-9), DetectorChain(jitter_width=1e-9),
+        AnalysisWindow(5e-9, 5e-11, 2e-8), 0.01, 1, "poisson")
+    run_analytic(scenario, tmp_path / "analytic")
+    run_smear(scenario, tmp_path / "smear", with_surface=True)
+    evt = run_simulate(scenario, tmp_path / "run")["events"]
+    run_count(scenario, evt, tmp_path / "count")
+    products = sorted(tmp_path.glob("*/*.csv"))
+    assert len(products) == 6 + 5 + 6
+    for path in products:
+        assert header_scenario(path) == scenario, path
+
+
 def test_readme_sweep_example(tmp_path, monkeypatch):
     """The README's scenario and sweep command run as documented."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -657,19 +721,31 @@ def test_readme_library_example(capsys):
     assert "X=5.0" in printed and "g2si_plateau=6.0" in printed
 
 
+def test_surface_csv_reads_its_axis_both_ways(tmp_path):
+    """``write_surface_csv`` writes the table ``TestSurfaceCsv`` checks, with
+    the surface's one axis as both t1 and t2."""
+    rng = np.random.default_rng(43)
+    axis = np.arange(6) * 5e-11 - 1e-10
+    values = rng.choice([0.1 + 0.2, -0.0, 5e-324, np.inf, np.nan, 7.0], size=(6, 6))
+    path = tmp_path / "surface.csv"
+    write_surface_csv(path, CorrelationSurface(axis, values), ["# one header line"])
+    assert path.read_text() == ("# one header line\n" + TestSurfaceCsv.NAMES
+                                + TestSurfaceCsv._reference(axis, axis, values))
+
+
 class TestSurfaceCsv:
-    """``write_surface_csv`` against the row-by-row reference.  Every case
-    writes a table of ``t1[:, None]``, ``t2[None, :]`` and ``values`` through
-    ``_write``, which ``TestTableCsv`` overrides to run it on 1-D columns."""
+    """The surface table against the row-by-row reference.  Every case
+    writes ``t1[:, None]``, ``t2[None, :]`` and ``values``, the columns that
+    ``write_surface_csv`` hands the table writer, through ``_write``, which
+    ``TestTableCsv`` overrides to run it on 1-D columns.  The two axes may
+    differ, as the one axis of a ``CorrelationSurface`` cannot."""
 
     NAMES = "t1_s,t2_s,value_per_s3\n"
 
     @staticmethod
     def _write(path, t1, t2, values):
-        # the writer reads only these fields, so a one-point axis, which
-        # CorrelationSurface refuses, can still be written
-        write_surface_csv(path, SimpleNamespace(t1=np.asarray(t1), t2=np.asarray(t2),
-                                                values=np.asarray(values)))
+        _write_table(path, [], ["t1_s", "t2_s", "value_per_s3"],
+                     np.asarray(t1)[:, None], np.asarray(t2)[None, :], values)
 
     def _body(self, tmp_path, t1, t2, values):
         path = tmp_path / "table.csv"

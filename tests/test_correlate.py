@@ -400,7 +400,7 @@ class TestEstimators:
         est = EstimatorCurve(delays, np.arange(41.0), np.ones(41))
         assert at(est, 20e-9) == 40.0
         assert at(est, -20e-9, field="stderr") == 1.0
-        surface = CorrelationSurface(delays, delays, np.arange(41.0**2).reshape(41, 41))
+        surface = CorrelationSurface(delays, np.arange(41.0**2).reshape(41, 41))
         assert at(surface, 20e-9, -20e-9) == 40 * 41
         with pytest.raises(GridError):
             at(surface, 0.0, 0.5e-9)

@@ -381,9 +381,9 @@ class TestSmearSurface:
         k = build_kernel(tauc, taud, step)
         max_delay = half_span - k.support_halfwidth - step
         sm = smear_surface(p, k, max_delay)
-        assert sm.t1[-1] + step / 2 > max_delay  # every grid point within it
+        assert sm.axis[-1] + step / 2 > max_delay  # every grid point within it
         ref = dense_smear_surface(dense_p_ssi(p, smearing._delay_grid(k, max_delay), step), k)
-        assert np.array_equal(sm.t1, ref.t1) and np.array_equal(sm.t2, ref.t2)
+        assert np.array_equal(sm.axis, ref.axis)
         assert np.max(np.abs(sm.values - ref.values) / np.abs(ref.values)) <= 1e-12
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
@@ -391,8 +391,8 @@ class TestSmearSurface:
         p = SourceParams(2e7, 1e-9, shape)
         k = build_kernel(5e-9, 1e-9, 5e-11)
         sm = smear_surface(p, k, 1.895e-8)
-        a = sm.t1[:, None]
-        b = sm.t2[None, :]
+        a = sm.axis[:, None]
+        b = sm.axis[None, :]
         # the ridges reach the peak support plus the kernel support from
         # their axis, the diagonal that plus twice the kernel support
         reach = 2 * p.coherence_time + k.support_halfwidth
@@ -416,9 +416,9 @@ class TestGbar2cAnalytic:
         # smeared g2_si at 0 and at tau
         sm = smear_surface(p, k, 1.395e-8)
         g2_delays, g2_sm = numeric_smear(*_raw_g2_si(p, step, 400), k.samples, step)
-        row = sm.values[np.argmin(np.abs(sm.t1))]
+        row = sm.values[np.argmin(np.abs(sm.axis))]
         oracle = np.array([
-            row[np.argmin(np.abs(sm.t2 - tau))] / p.pair_rate**3
+            row[np.argmin(np.abs(sm.axis - tau))] / p.pair_rate**3
             / (g2_sm[np.argmin(np.abs(g2_delays))]
                * g2_sm[np.argmin(np.abs(g2_delays - tau))])
             for tau in taus
@@ -508,8 +508,8 @@ class TestSamplers:
         p = SourceParams(2e7, 1e-9)
         dt = p.coherence_time
         surf = dense_p_ssi(p, np.arange(-500, 501) * (dt / 200), dt / 200)
-        a = surf.t1[:, None]
-        b = surf.t2[None, :]
+        a = surf.axis[:, None]
+        b = surf.axis[None, :]
         exact = p_ssi(p, a, b, 0.0)
         # cell averages converge to point values except on measure-zero edges
         interior = (
