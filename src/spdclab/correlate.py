@@ -12,30 +12,36 @@ Counting conventions:
   |t_s1 - t_i| <= tau_c and |t_s2 - t_i - tau| <= tau_c.
 
 Every counter runs one edge-binned kernel (the arbitrary-bin method of
-Laurence et al., Opt. Lett. 31, 829 (2006)): per chunk of reference events
-a merge of the chunk's window limits into the partner stream (one stable
-sort of two sorted runs) finds every difference that can land in a window,
-and each difference is binned between the sorted, distinct window edges (at
-most 2 x n_delays); a window count is a difference of cumulative bin
-totals.  A difference finds its bin by table lookup, not binary search: the
-edge range is cut into power-of-two cells, about 16-32 per edge, a table
-gives the last edge at or below each cell start, and a few compare-and-step
-rounds pass the edges inside the cell.  The kernel takes one weight row per
-output histogram and bins each difference once for all of them, and it can
-count, per partner event, the differences that fall in one extra window.
+Laurence et al., Opt. Lett. 31, 829 (2006)): per block of reference events
+a merge of the block's window limits into the partner stream (one stable
+sort of two sorted runs) finds the partners that can land in a window, and
+the block is cut into chunks by their differences.  Each difference is
+binned between the sorted, distinct window edges (at most 2 x n_delays); a
+window count is a difference of cumulative bin totals.  A difference finds
+its bin by table lookup, not binary search: the edge range is cut into
+power-of-two cells, at most 16 per edge, a table gives the last edge at or
+below each cell start, and only a difference in a cell that holds an edge
+takes a few compare-and-step rounds past the edges inside it.  The kernel
+takes one weight row per output histogram and bins each difference once
+for all of them, and it can count, per partner event, the differences that
+fall in one extra window.
 
 ``coincidence_histograms`` makes the two passes that ``count`` needs.  The
 signal1-idler pass also counts the heralding pairs in the signal1 gate and
 yields each idler's gate occupancy from the differences it forms; the
 idler-signal2 pass then counts the signal2-idler pairs (unit weight) and
 the triples (the idler's gate occupancy) at once.
-``triple_histogram`` is the triple part of that call.  Reference events
-are counted ``CHUNK_SIZE`` at a time.  That does not bound memory: the
-three channels and the int64 gate occupancy (one per idler) grow with the
-run length, and a chunk's difference arrays hold ``CHUNK_SIZE`` x partner
-rate x (2 span + 2 tau_c) values, so they grow with the rate and the span.
-Counting a stream in consecutive chunks gives bit-identical results, which
-is the sharding contract for parallel or out-of-core operation.
+``triple_histogram`` is the triple part of that call.
+
+Memory: a block holds at most ``CHUNK_SIZE`` reference events and a chunk
+at most ``CHUNK_SIZE`` differences (or one reference event with all of its
+partners), whatever the rate and the span.  The bin table and the totals
+grow with the delay grid, within ``MAX_BIN_TABLE_BYTES``; the three
+channels and the int64 gate occupancy (one per idler) grow with the run
+length.  Before either pass runs, a count expected to bin more than
+``MAX_COUNT_DIFFERENCES`` differences is refused.  Counting a stream in
+consecutive chunks gives bit-identical results, which is the sharding
+contract for parallel or out-of-core operation.
 """
 from __future__ import annotations
 
@@ -45,7 +51,14 @@ import numpy as np
 
 from .curves import Histogram, EstimatorCurve
 from .events import EventStream
-from .params import TICKS_PER_SECOND, ConfigError, seconds_to_ticks
+from .params import (
+    MAX_BIN_TABLE_BYTES,
+    MAX_COUNT_DIFFERENCES,
+    TICKS_PER_SECOND,
+    ConfigError,
+    guard,
+    seconds_to_ticks,
+)
 
 __all__ = [
     "RateEstimate",
@@ -58,7 +71,7 @@ __all__ = [
 ]
 
 
-#: reference events per counting chunk
+#: reference events per counting block, and differences per counting chunk
 CHUNK_SIZE = 1 << 14
 
 
@@ -76,18 +89,16 @@ def singles_rate(stream: EventStream) -> RateEstimate:
     return RateEstimate(n / t, np.sqrt(n) / t)
 
 
-def _ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenate arange(start, stop) for every pair, vectorized."""
-    lens = stops - starts
-    keep = lens > 0
-    starts, lens = starts[keep], lens[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    steps = np.ones(int(ends[-1]), dtype=np.int64)
-    steps[0] = starts[0]
-    steps[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    return np.cumsum(steps)
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``values`` and, in its shape, the index
+    of each element among them: ``np.unique(values, return_inverse=True)``
+    by one sort, an adjacent-inequality mask and a binary search."""
+    keys = np.sort(values, axis=None)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    return keys, np.searchsorted(keys, values)
 
 
 def _window_bounds(delays: np.ndarray, tauc: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,25 +125,48 @@ def _edge_binner(edges: np.ndarray):
     in ``[edges[0], edges[-1]]``: ``np.searchsorted(edges, d, "right") - 1``
     by table lookup.
 
-    The range is cut into cells of 2**shift ticks, about 16-32 per edge;
-    ``table[c]`` is the last edge at or below the start of cell c.  A
-    difference looks its cell up and then steps past the edges inside the
-    cell that lie at or below it, at most ``extra`` of them.  Repeated edges
-    need no care: each step compares with the following edge.
+    The range is cut into cells of 2**shift ticks, at most 16 per edge and
+    more than 8 unless a cell is one tick.  ``table[c]`` is the last edge k
+    at or below the start of cell c, or ~k = -k - 1 when an edge lies inside
+    the cell past its start (at most one cell in 8), in the narrowest signed
+    dtype that holds it.  A difference looks its cell up, and only one in a
+    cell marked negative then steps past the edges inside it that lie at or
+    below it, at most ``extra`` of them.  Repeated edges need no care: each
+    step compares with the following edge.  ``GuardError`` when the table
+    would exceed ``MAX_BIN_TABLE_BYTES``, before it is allocated.
     """
     lo, hi = int(edges[0]), int(edges[-1])
-    # floor(log2((hi - lo) / (16 m))) in exact integer arithmetic
-    shift = max(0, ((hi - lo) // (16 * edges.size)).bit_length() - 1)
-    starts = lo + (np.arange(((hi - lo) >> shift) + 1, dtype=np.int64) << shift)
-    table = np.searchsorted(edges, starts, side="right") - 1
-    last = np.searchsorted(edges, starts + ((1 << shift) - 1), side="right") - 1
-    extra = int(np.max(last - table))
+    # the least shift that leaves at most 16 cells per edge, in exact
+    # integer arithmetic
+    shift = ((hi - lo) // (16 * edges.size)).bit_length()
+    cells = ((hi - lo) >> shift) + 1
+    dtype = np.min_scalar_type(-edges.size)
+    guard("edge binning table bytes", cells * dtype.itemsize, MAX_BIN_TABLE_BYTES)
+    mask = (1 << shift) - 1
+    offsets = edges - lo
+    # the cell of every edge past its cell's start; ``extra`` is the most
+    # such edges one cell holds
+    inner = offsets[(offsets & mask) != 0] >> shift
+    extra = int(np.max(np.searchsorted(inner, inner, "right")
+                       - np.searchsorted(inner, inner, "left"), initial=0))
+    # edge k is the last one at or below the start of every cell from the
+    # first whose start reaches it to the first whose start reaches edge k + 1
+    offsets += mask
+    offsets >>= shift
+    table = np.repeat(np.arange(edges.size, dtype=dtype), np.diff(offsets, append=cells))
+    table[inner] = ~table[inner]
     following = np.append(edges[1:], np.iinfo(np.int64).max)
 
     def bins(d: np.ndarray) -> np.ndarray:
-        b = table[(d - lo) >> shift]
-        for _ in range(extra):
-            b += d >= following[b]
+        c = d - lo
+        c >>= shift
+        b = table[c]
+        at = np.flatnonzero(b < 0)
+        if at.size:
+            ds, bs = d[at], ~b[at].astype(np.intp)
+            for _ in range(extra):
+                bs += ds >= following[bs]
+            b[at] = bs
         return b
 
     return bins
@@ -168,52 +202,55 @@ def _edge_binned_counts(
     per event of ``ta``; the differences and their bins are formed once and
     shared by every row.  ``occupancy=(low, high, out)`` also adds to
     ``out[j]`` the number of ``ta`` events with ta_i - tb_j in [low, high),
-    a range that must lie inside the windows' span.  ``ta`` is taken
-    ``CHUNK_SIZE`` events at a time; each of its events is owned by exactly
-    one chunk and the bin totals are exact integers, so chunked and
-    unchunked counts agree exactly.
+    a range that must lie inside the windows' span.
+
+    ``ta`` is taken in blocks of at most ``CHUNK_SIZE`` events, whose
+    partner ranges are found at once, and each block is cut where the
+    running partner count passes ``CHUNK_SIZE``: a chunk forms at most
+    ``CHUNK_SIZE`` differences, or holds one event whose partners alone
+    pass that.  Each event of ``ta`` is owned by exactly one chunk and the
+    bin totals are summed in int64, so chunked and unchunked counts agree
+    exactly.
     """
-    # a repeated edge would only add stepping rounds to the binner
-    edges = np.unique(np.concatenate((lows, highs)))
+    edges, at = _distinct(np.concatenate((lows, highs)))
     lo, hi = int(edges[0]), int(edges[-1])
     bin_of = _edge_binner(edges)
     # bin b holds the differences d with edges[b] <= d < edges[b + 1]
     totals = np.zeros((len(weights), edges.size - 1), dtype=np.int64)
     for start in range(0, ta.size, CHUNK_SIZE):
-        chunk = ta[start : start + CHUNK_SIZE]
-        # partners tb_j with lo <= chunk - tb_j < hi, that is, with
-        # chunk - hi < tb_j <= chunk - lo
-        j0 = _ranks(tb, chunk - hi)
-        j1 = _ranks(tb, chunk - lo)
+        block = ta[start : start + CHUNK_SIZE]
+        # partners tb_j with lo <= block - tb_j < hi, that is, with
+        # block - hi < tb_j <= block - lo
+        j0 = _ranks(tb, block - hi)
+        j1 = _ranks(tb, block - lo)
         counts = j1 - j0
-        partners = _ragged_ranges(j0, j1)
-        d = np.repeat(chunk, counts)
-        d -= tb[partners]
-        if occupancy is not None:
-            low, high, out = occupancy
-            first, stop = int(j0[0]), int(j1[-1])
-            hit = partners[(d >= low) & (d < high)] - first
-            out[first:stop] += np.bincount(hit, minlength=stop - first)
-        # every difference-sized array is dropped as soon as it is used, so
-        # none of them stays alive into the next step or the next chunk
-        del partners
-        bins = bin_of(d)
-        del d
-        for row, weight in zip(totals, weights):
-            if weight is None:
-                row += np.bincount(bins, minlength=row.size)
-            else:
-                w = np.repeat(weight[start : start + CHUNK_SIZE], counts)
-                # integer weights sum exactly in float64 below 2**53 per chunk
-                row += np.bincount(bins, w, minlength=row.size).astype(np.int64)
-                del w
-        del bins
+        ends = np.cumsum(counts)
+        # the block's k-th difference (k from 0) pairs the event r that
+        # forms it with the partner k + j1[r] - ends[r]
+        offset = j1 - ends
+        r0 = 0
+        while r0 < block.size:
+            k0 = int(ends[r0 - 1]) if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, k0 + CHUNK_SIZE, "right")))
+            partners = np.repeat(offset[r0:r1], counts[r0:r1])
+            partners += np.arange(k0, k0 + partners.size)
+            d = np.repeat(block[r0:r1], counts[r0:r1])
+            d -= tb[partners]
+            if occupancy is not None:
+                low, high, out = occupancy
+                first, stop = int(j0[r0]), int(j1[r1 - 1])
+                # low <= d < high, by one unsigned compare
+                hit = partners[(d - low).view(np.uint64) < high - low] - first
+                out[first:stop] += np.bincount(hit, minlength=stop - first)
+            bins = bin_of(d)
+            for row, weight in zip(totals, weights):
+                np.add.at(row, bins, 1 if weight is None else
+                          np.repeat(weight[start + r0 : start + r1], counts[r0:r1]))
+            r0 = r1
+    del bin_of  # the table is freed before the totals are summed
     cumulative = np.concatenate((np.zeros((len(weights), 1), np.int64),
                                  np.cumsum(totals, axis=1)), axis=1)
-    return (
-        cumulative[:, np.searchsorted(edges, highs)]
-        - cumulative[:, np.searchsorted(edges, lows)]
-    )
+    return cumulative[:, at[lows.size:]] - cumulative[:, at[: lows.size]]
 
 
 def _common_duration(*streams: EventStream) -> float:
@@ -221,6 +258,18 @@ def _common_duration(*streams: EventStream) -> float:
     if len(durations) != 1:
         raise ValueError("streams must share one observation duration")
     return streams[0].duration_s
+
+
+def _guard_differences(n_pairs: int, lows: np.ndarray, highs: np.ndarray,
+                       duration: int) -> None:
+    """``GuardError`` when a count is expected to bin more than
+    ``MAX_COUNT_DIFFERENCES`` differences: each of ``n_pairs``
+    reference-partner event pairs of a ``duration``-tick run lies inside
+    the windows' span with the chance span / duration (at most 1) that
+    independent uniform events have."""
+    span = int(np.max(highs)) - int(np.min(lows))
+    guard("expected coincidence differences",
+          n_pairs * min(1.0, span / max(duration, 1)), MAX_COUNT_DIFFERENCES)
 
 
 def pair_histogram(
@@ -233,6 +282,7 @@ def pair_histogram(
     delays = np.asarray(delays, dtype=float)
     lows, highs = _window_bounds(delays, tauc)
     duration = _common_duration(a, b)
+    _guard_differences(len(a) * len(b), lows, highs, a.duration)
     (counts,) = _edge_binned_counts(a.timestamps, b.timestamps, lows, highs)
     return Histogram(delays, counts, duration, tauc)
 
@@ -275,6 +325,8 @@ def coincidence_histograms(
     # the signal1 gate is the window at delay 0, appended as the last one
     lows, highs = _window_bounds(np.append(delays, 0.0), tauc)
     duration = _common_duration(i, s1, s2)
+    # both passes, before either runs; the idler pass spans no more ticks
+    _guard_differences((len(s1) + len(s2)) * len(i), lows, highs, i.duration)
     n1 = np.zeros(len(i), dtype=np.int64)
     (row,) = _edge_binned_counts(s1.timestamps, i.timestamps, lows, highs,
                                  occupancy=(lows[-1], highs[-1], n1))

@@ -38,6 +38,16 @@ MAX_SURFACE_CELLS = 10**8
 #: refuse a smearing convolution beyond this many multiply-adds
 MAX_CONVOLVE_WORK = 10**10
 
+#: refuse a count expected to bin more signal-idler differences than this;
+#: a whole count bins 3.6e7 (1e-4 s span of 1 ns bins) to 6e7 (a 101-delay
+#: grid) differences per second on a 2-core Xeon VM, so 3 to 5 minutes there
+MAX_COUNT_DIFFERENCES = 10**10
+
+#: refuse a counter bin table beyond this many bytes, four times the table
+#: of a 1e-4 s span of 1 ns bins; a lookup took about 4 ns per difference
+#: at a 4 kB table, 6 ns at 4.9 MB and 9 ns at 24 MB on the same VM
+MAX_BIN_TABLE_BYTES = 10**8
+
 
 class SpdcLabError(Exception):
     """Base class for all errors raised by this package."""

@@ -52,7 +52,7 @@ def _write_table(path, header: list[str], names, *columns) -> None:
         floats = column.dtype.kind not in "iuU"
         keys = (np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
                 if floats else column)
-        keys, index = np.unique(keys, return_inverse=True)
+        keys, index = correlate._distinct(keys)
         end = "," if k < len(columns) - 1 else "\n"
         text = [f"{v}{end}" for v in (keys.view(float) if floats else keys).tolist()]
         cell = index.reshape((1,) * (len(shape) - column.ndim) + column.shape)

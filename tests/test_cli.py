@@ -233,6 +233,22 @@ class TestCliCommands:
             code = main(["simulate", str(bright), "-o", str(tmp_path / "y")])
         assert code == 3
 
+    def test_count_differences_guard_exit_code(self, tmp_path, capsys):
+        # 1e5 events per channel over 1e-6 s and a 1e-6 s span: every
+        # signal-idler event pair lies inside the windows' span, so both
+        # passes are expected to bin 2e10 differences
+        evt = tmp_path / "dense.evt"
+        evt.write_bytes(raw_evt(*((c, 10**9, np.arange(10**5) * 10**4)
+                                  for c in range(3))))
+        wide = tmp_path / "wide.ini"
+        wide.write_text(re.sub(r"^window\.span_s\s*=.*$", "window.span_s = 1e-6",
+                               DESK_CONFIG, flags=re.M))
+        code = main(["count", str(wide), str(evt), "-o", str(tmp_path / "c")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "guard tripped: expected coincidence differences would be 2e+10")
+        assert not list((tmp_path / "c").glob("*.csv"))
+
     @pytest.mark.parametrize("channels", [
         [(0, 10**12, [9, 5]), (1, 10**12, [1]), (2, 10**12, [2])],
         [(0, 10**12, [5]), (1, 10**12, [1])],

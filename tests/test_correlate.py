@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
+    AnalysisWindow,
     ConfigError,
     CorrelationSurface,
     DetectorChain,
     EstimatorCurve,
     EventStream,
     GridError,
+    GuardError,
     RateEstimate,
     SourceParams,
     apply_detector_chain,
@@ -26,6 +29,8 @@ from spdclab import (
 from spdclab import correlate
 from spdclab.correlate import (
     CHUNK_SIZE,
+    MAX_COUNT_DIFFERENCES,
+    _distinct,
     _edge_binned_counts,
     _edge_binner,
     _ranks,
@@ -43,7 +48,8 @@ def stream(channel, seconds, duration=1e-3):
 
 @contextlib.contextmanager
 def chunk_size(size):
-    """Count ``size`` reference events at a time inside the context."""
+    """Count in blocks of ``size`` reference events and chunks of ``size``
+    differences inside the context."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlate, "CHUNK_SIZE", size)
         yield
@@ -339,6 +345,113 @@ class TestCountingProperties:
         assert np.array_equal(counts, brute_pair_counts(ta, tb, *_seconds(grid, tc)))
 
 
+class TestDifferenceChunks:
+    """A chunk holds at most ``CHUNK_SIZE`` differences, or one reference
+    event with all of its partners.  The streams are ticks over a 6e5-tick
+    run: about 22 partners per reference event inside the windows' span in
+    both passes, and one signal1 event and the idlers around it inside
+    bursts that give them about 80."""
+
+    GRID, TC = np.arange(-4, 5) * 500, 250
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(17)
+        duration = 600_000
+
+        def ticks(n, *burst):
+            return np.unique(np.concatenate((rng.integers(0, duration, n), *burst)))
+
+        burst = np.arange(300_000 - 120, 300_000 + 120, 4)
+        i = EventStream("idler", ticks(3000, burst), duration)
+        s1 = EventStream("signal1", ticks(300, [300_001]), duration)
+        s2 = EventStream("signal2", ticks(3000, burst + 1), duration)
+        delays, tauc = _seconds(self.GRID, self.TC)
+        expected = (
+            brute_pair_counts(s1.timestamps, i.timestamps, delays, tauc),
+            brute_pair_counts(s2.timestamps, i.timestamps, delays, tauc),
+            brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
+                                delays, tauc),
+            brute_pair_counts(s1.timestamps, i.timestamps, [0.0], tauc)[0],
+        )
+        # partners per reference event inside the windows' span, in the
+        # signal1 pass and in the idler pass
+        lo, hi = self.GRID[0] - self.TC, self.GRID[-1] + self.TC
+        partners = [np.sum((d >= lo) & (d <= hi), axis=1) for d in (
+            s1.timestamps[:, None] - i.timestamps[None, :],
+            s2.timestamps[None, :] - i.timestamps[:, None])]
+        return (i, s1, s2), expected, partners
+
+    @pytest.mark.parametrize("chunk", [1, 5, 21, 64, 1000, CHUNK_SIZE])
+    def test_counts_match_oracles_in_bounded_chunks(self, case, chunk, monkeypatch):
+        streams, expected, partners = case
+        sizes = []
+        binner = correlate._edge_binner
+
+        def recording_binner(edges):
+            bins = binner(edges)
+
+            def record(d):
+                sizes.append(d.size)
+                return bins(d)
+            return record
+
+        monkeypatch.setattr(correlate, "_edge_binner", recording_binner)
+        with chunk_size(chunk):
+            *histograms, heralds = coincidence_histograms(
+                *streams, *_seconds(self.GRID, self.TC))
+        for h, ref in zip(histograms, expected):
+            assert np.array_equal(h.counts, ref)
+        assert heralds == expected[3]
+        # every difference is binned once, in chunks of at most ``chunk``
+        # differences or of one reference event
+        most = max(int(p.max()) for p in partners)
+        assert sum(sizes) == sum(int(p.sum()) for p in partners)
+        assert max(sizes) == most if chunk < most else max(sizes) <= chunk
+
+
+def test_wide_span_count_memory_is_bounded():
+    # A 2e-5 s span of 1 ns windows (80,002 distinct edges) over 1e-3 s of
+    # the desk source: each signal1 event has about 800 idler partners.
+    # The counter holds a bin table of 1.2e6 cells at 4 bytes, some ten
+    # arrays as long as the edges (windows, edges, totals) and a few
+    # CHUNK_SIZE-long arrays per chunk: 11 MB measured.  A chunk of
+    # CHUNK_SIZE reference events would form the 8e6 differences of all 1e4
+    # signal1 events at once, 64 MB per int64 array (225 MB measured).
+    pairs = gen_poisson_pairs(SourceParams(2e7, 1e-9), 1e-3, 7)
+    idler, s1, s2 = apply_detector_chain(pairs, DetectorChain(jitter_width=1e-9), 7)
+    delays = AnalysisWindow(5e-9, 1e-9, 2e-5).delays()
+    tracemalloc.start()
+    try:
+        coincidence_histograms(idler, s1, s2, delays, 5e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+class TestCountGuards:
+    def test_expected_differences(self):
+        # every event pair lies inside a span wider than the run, so
+        # (1e5 + 1) x 1e5 events are expected to form just over 1e10
+        # differences
+        duration = 10**9
+        a = EventStream("signal1", np.arange(10**5 + 1) * 10**4, duration)
+        b = EventStream("idler", np.arange(10**5) * 10**4, duration)
+        delays = np.array([0.0])
+        with pytest.raises(GuardError, match="expected coincidence differences"):
+            pair_histogram(a, b, delays, 2e-6)
+        assert len(a) * len(b) > MAX_COUNT_DIFFERENCES
+
+    def test_bin_table(self):
+        # 2e6 edges 1000 ticks apart: 3.1e7 cells of 4 bytes
+        edges = np.arange(2 * 10**6, dtype=np.int64) * 1000
+        with pytest.raises(GuardError, match="edge binning table bytes"):
+            _edge_binner(edges)
+        # the table for a tenth of them fits
+        assert _edge_binner(edges[: 2 * 10**5])(edges[:3]).tolist() == [0, 1, 2]
+
+
 _SORTED_TICKS = st.lists(st.integers(-50, 50), max_size=40).map(sorted)
 
 
@@ -353,6 +466,19 @@ _SORTED_TICKS = st.lists(st.integers(-50, 50), max_size=40).map(sorted)
 def test_ranks_match_searchsorted(tb, q):
     tb, q = np.array(tb, dtype=np.int64), np.array(q, dtype=np.int64)
     assert np.array_equal(_ranks(tb, q), np.searchsorted(tb, q, side="right"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(-5, 5), max_size=30), rows=st.integers(1, 3))
+@example(values=[], rows=1)
+@example(values=[], rows=3)
+def test_distinct_matches_np_unique(values, rows):
+    values = np.array(values[: len(values) // rows * rows], dtype=np.int64)
+    values = values.reshape(rows, -1)
+    keys, index = _distinct(values)
+    ref_keys, ref_index = np.unique(values, return_inverse=True)
+    assert np.array_equal(keys, ref_keys)
+    assert np.array_equal(index, ref_index.reshape(values.shape))
 
 
 # (delays, tauc) in seconds whose window edges stress the binning table
@@ -382,6 +508,37 @@ def test_table_binning_matches_searchsorted(name, mirrored):
     lo, hi = edges[0], edges[-1]
     d = np.concatenate((edges - 1, edges, edges + 1,
                         np.random.default_rng(7).integers(lo, hi + 1, 1000)))
+    d = d[(d >= lo) & (d <= hi)]
+    before = d.copy()
+    bins = _edge_binner(edges)(d)
+    assert np.array_equal(bins, np.searchsorted(edges, d, side="right") - 1)
+    assert np.array_equal(d, before)
+
+
+@st.composite
+def _edge_runs(draw):
+    """Sorted edges in runs one tick apart, a run starting on the last edge
+    of the one before (a repeated edge) or up to 1e9 ticks after it, so one
+    cell of the table holds several edges."""
+    edge = draw(st.integers(-10**12, 10**12))
+    edges = []
+    for run, gap in draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10**9)),
+                                  min_size=1, max_size=10)):
+        edges.extend(range(edge, edge + run))
+        edge += run - 1 + gap
+    return np.array(edges, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=_edge_runs(), picks=st.lists(st.integers(0, 2**62), max_size=30))
+@example(edges=np.array([0, 1, 2, 3, 4, 10**6]), picks=[])
+@example(edges=np.array([5, 5, 6, 6, 6, 7, 10**9, 10**9 + 1]), picks=[])
+@example(edges=np.array([-3, -2]), picks=[0, 1])
+@example(edges=np.array([7]), picks=[0])
+def test_edge_binner_matches_searchsorted(edges, picks):
+    lo, hi = int(edges[0]), int(edges[-1])
+    d = np.concatenate((edges - 1, edges, edges + 1,
+                        lo + np.array(picks, dtype=np.int64) % (hi - lo + 1)))
     d = d[(d >= lo) & (d <= hi)]
     before = d.copy()
     bins = _edge_binner(edges)(d)
