@@ -213,16 +213,17 @@ def _edge_binned_counts(
     exactly.
     """
     edges, at = _distinct(np.concatenate((lows, highs)))
-    lo, hi = int(edges[0]), int(edges[-1])
+    lo, hi, top = int(edges[0]), int(edges[-1]), int(np.iinfo(np.int64).max)
     bin_of = _edge_binner(edges)
     # bin b holds the differences d with edges[b] <= d < edges[b + 1]
     totals = np.zeros((len(weights), edges.size - 1), dtype=np.int64)
     for start in range(0, ta.size, CHUNK_SIZE):
         block = ta[start : start + CHUNK_SIZE]
         # partners tb_j with lo <= block - tb_j < hi, that is, with
-        # block - hi < tb_j <= block - lo
-        j0 = _ranks(tb, block - hi)
-        j1 = _ranks(tb, block - lo)
+        # block - hi < tb_j <= block - lo; a difference past the int64
+        # maximum saturates there, which ranks after every timestamp
+        j0, j1 = (_ranks(tb, np.minimum(block, top + min(bound, 0)) - bound)
+                  for bound in (hi, lo))
         counts = j1 - j0
         ends = np.cumsum(counts)
         # the block's k-th difference (k from 0) pairs the event r that

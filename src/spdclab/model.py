@@ -28,6 +28,10 @@ Two peak shapes are provided:
     of g2_si preserved.  Used to demonstrate that window-averaged
     observables depend only on peak integrals, not on peak shapes.
 
+The triple rate's terms carry one coefficient each per source statistics,
+declared once in :data:`TRIPLE_TERMS` and read by ``p_ssi``,
+``g2_ss_unconditional`` and the smearing layer.
+
 All functions accept scalars or numpy arrays for the time arguments and
 broadcast in the usual way.
 """
@@ -49,6 +53,15 @@ __all__ = [
     "cross_sq_cumulative",
     "auto_antider2",
 ]
+
+#: coefficient of each term of the triple rate P(a, b), a = t1 - ti and
+#: b = t2 - ti, per ``SourceParams.statistics``: the constant R^3, the ridges
+#: R [C(a)^2 + C(b)^2], the diagonal R R(a - b)^2 and the central
+#: C(a) C(b) R(a - b); a Poisson source has no diagonal and no central term
+TRIPLE_TERMS = {
+    "thermal": {"constant": 1.0, "ridges": 1.0, "diagonal": 1.0, "central": 2.0},
+    "poisson": {"constant": 1.0, "ridges": 1.0, "diagonal": 0.0, "central": 0.0},
+}
 
 #: multiple of the coherence time treated as "infinitely" large when
 #: evaluating limit identities with finite offsets
@@ -107,12 +120,14 @@ def g2_si(params: SourceParams, tau):
 
 
 def g2_ss_unconditional(params: SourceParams, tau):
-    """Unconditioned signal-signal coherence, 1 + (R(tau)/R)^2.
+    """Unconditioned signal-signal coherence, 1 + d (R(tau)/R)^2.
 
-    Equals 2 at zero delay (thermal beam statistics) and 1 once the
-    autocorrelation has died out.
+    d is the diagonal's ``TRIPLE_TERMS`` coefficient: a thermal source gives
+    2 at zero delay and 1 once the autocorrelation has died out, a Poisson
+    source 1 at every delay.
     """
-    out = 1.0 + np.square(auto_correlation(params, tau)) / params.pair_rate**2
+    bunching = np.square(auto_correlation(params, tau)) / params.pair_rate**2
+    out = 1.0 + TRIPLE_TERMS[params.statistics]["diagonal"] * bunching
     return out if out.ndim else float(out)
 
 
@@ -122,20 +137,23 @@ def p_ssi(params: SourceParams, t1, t2, ti):
     P(t1, t2, ti) = 2 C(t1-ti) C(t2-ti) R(t1-t2)
                     + R [ R^2 + R(t1-t2)^2 + C(t1-ti)^2 + C(t2-ti)^2 ]
 
-    Symmetric under t1 <-> t2, invariant under a common time shift, and
-    bounded below by the accidental floor R^3.
+    for a thermal source; each term carries its ``TRIPLE_TERMS`` coefficient,
+    so a Poisson source keeps R [ R^2 + C(t1-ti)^2 + C(t2-ti)^2 ].  Symmetric
+    under t1 <-> t2, invariant under a common time shift, and bounded below
+    by the accidental floor R^3.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     ti = np.asarray(ti, dtype=float)
-    r = params.pair_rate
+    r, terms = params.pair_rate, TRIPLE_TERMS[params.statistics]
     c1 = cross_correlation(params, t1 - ti)
     c2 = cross_correlation(params, t2 - ti)
     a12 = auto_correlation(params, t1 - t2)
     # the symmetric pair is grouped so the result is bit-identical under
     # t1 <-> t2
-    out = 2.0 * c1 * c2 * a12 + r * (
-        r**2 + np.square(a12) + (np.square(c1) + np.square(c2))
+    out = terms["central"] * c1 * c2 * a12 + r * (
+        terms["constant"] * r**2 + terms["diagonal"] * np.square(a12)
+        + terms["ridges"] * (np.square(c1) + np.square(c2))
     )
     return out if out.ndim else float(out)
 
@@ -184,7 +202,7 @@ def limit_ratios(params: SourceParams, tau):
     * ``heralding_ratio`` = P(ti+tau, far | ti) / P(-far, far | ti),
       which reduces to g2_si(tau), and
     * ``thermal_ratio`` = P(t1, t1+tau | ti=-far) / P(t1, far | ti=-far),
-      which reduces to the thermal 1 + (R(tau)/R)^2.
+      which reduces to ``g2_ss_unconditional(tau)``.
 
     "far" means offsets of at least 1e3 coherence times, asserted to exceed
     every correlation support.

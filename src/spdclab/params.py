@@ -18,6 +18,9 @@ TICKS_PER_SECOND = 10**15
 Shape = Literal["box", "triangle"]
 SHAPES = ("box", "triangle")
 
+Statistics = Literal["thermal", "poisson"]
+MODELS = ("thermal", "poisson")
+
 #: mean pair number per coherence cell above which the low-gain model
 #: becomes questionable
 MU_WARN_THRESHOLD = 0.1
@@ -71,18 +74,20 @@ class ModelValidityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Pair source model: generation rate, coherence time and peak shape.
+    """Pair source model: rate, coherence time, peak shape and statistics.
 
     ``pair_rate`` is the pair-generation rate R (the zero-delay value of the
     beam autocorrelation), ``coherence_time`` is the inverse bandwidth; their
     product ``mu = R * dt`` is the mean number of pairs per coherence cell
     and must stay well below one for the closed-form correlation model to
-    apply.
+    apply.  ``statistics`` (thermal or Poisson) picks the triple rate's
+    terms in ``model`` and the event generator of ``simulate``.
     """
 
     pair_rate: float
     coherence_time: float
     shape: Shape = "box"
+    statistics: Statistics = "thermal"
 
     def __post_init__(self) -> None:
         if not MIN_PAIR_RATE <= self.pair_rate <= MAX_PAIR_RATE:
@@ -94,6 +99,9 @@ class SourceParams:
             )
         if self.shape not in SHAPES:
             raise ConfigError(f"shape must be one of {SHAPES}, got {self.shape!r}")
+        if self.statistics not in MODELS:
+            raise ConfigError(f"statistics (run.model) must be one of {MODELS}, "
+                              f"got {self.statistics!r}")
         if self.mu >= MU_WARN_THRESHOLD:
             warnings.warn(
                 f"mean pairs per coherence cell mu = {self.mu:.3g} >= "

@@ -169,7 +169,7 @@ def run_simulate(scenario: Scenario, outdir) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
     gen = (
         events.gen_thermal_cells
-        if scenario.model == "thermal"
+        if scenario.source.statistics == "thermal"
         else events.gen_poisson_pairs
     )
     pairs = gen(scenario.source, scenario.duration, scenario.seed)

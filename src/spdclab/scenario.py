@@ -16,7 +16,7 @@ configuration error.  Recognized keys:
     window.span_s             maximum |delay| (s)
     run.duration_s            simulated acquisition time (s)
     run.seed                  integer RNG seed >= 0   (default 1)
-    run.model                 thermal | poisson       (default poisson)
+    run.model                 source statistics: thermal | poisson (default poisson)
 
 :data:`KEYS` is the one list of these keys in code: parsing, the defaults
 and the header block of every product all read it.
@@ -53,10 +53,8 @@ KEYS = {
     "chain.splitter": ("chain", "splitter_ratio", float, "0.5"),
     "chain.jitter_s": ("chain", "jitter_width", float, "0.0"),
     "run.seed": ("run", "seed", int, "1"),
-    "run.model": ("run", "model", str, "poisson"),
+    "run.model": ("source", "statistics", str, "poisson"),
 }
-
-MODELS = ("thermal", "poisson")
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,10 @@ class Scenario:
     window: AnalysisWindow
     duration: float
     seed: int
-    model: str
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
-        if self.model not in MODELS:
-            raise ConfigError(f"run.model must be one of {MODELS}")
         if duration_to_ticks(self.duration) < 1:
             raise ConfigError(f"run.duration_s must be at least one tick "
                               f"({1 / TICKS_PER_SECOND:g} s), got {self.duration!r}")

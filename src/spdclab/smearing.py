@@ -129,7 +129,8 @@ def smear_surface(
     ``max_delay`` plus the kernel support plus one step.  It holds the
     constant R^3, the two signal-idler ridges R C(t)^2 and the signal-signal
     diagonal R R(t1 - t2)^2 as exact differences of their antiderivatives,
-    the narrow central term 2 R C C R from subcell integrals.  That surface
+    the narrow central term C C R from subcell integrals, each times its
+    ``model.TRIPLE_TERMS`` coefficient for ``params.statistics``.  That surface
     is convolved with the kernel along both axes: the square two-dimensional
     averaging window (area (2 tau_c)^2 with transition regions 2 tau_d)
     acting on the triple rate.  Only the valid region is kept, so the grid
@@ -165,14 +166,14 @@ def _smeared_rows(
     n = grid.size
     if n <= k.size:
         raise GridError("surface span must exceed the kernel support")
-    r = params.pair_rate
+    r, terms = params.pair_rate, model.TRIPLE_TERMS[params.statistics]
     s = k.sum() * h
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
     c2_sm = _convolve(_c2_cells(params, grid, h), k, "valid") * h
-    ridge = r * s * c2_sm
-    values = np.add.outer(r**3 * s**2 + ridge[rows], ridge)
+    ridge = terms["ridges"] * r * s * c2_sm
+    values = np.add.outer(terms["constant"] * r**3 * s**2 + ridge[rows], ridge)
 
     # diagonal R R(t1 - t2)^2: cell averages by lag, which are exactly zero
     # where the second antiderivative is linear, smeared by the kernel's
@@ -181,7 +182,7 @@ def _smeared_rows(
     q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
     a[np.abs(lags) >= model.support(params) + h] = 0.0
-    g = r * _convolve(a, _convolve(k, k) * h**2, "valid")
+    g = terms["diagonal"] * r * _convolve(a, _convolve(k, k) * h**2, "valid")
     values += sliding_window_view(g[::-1], n_out)[::-1][rows]
 
     # central term: its block rows within the kernel's reach of the rows asked
@@ -287,7 +288,8 @@ def _c2_cells(params: SourceParams, grid: np.ndarray, step: float) -> np.ndarray
 def _ccr_block(
     params: SourceParams, grid: np.ndarray, step: float, reach: float, weights
 ) -> tuple[int, int, np.ndarray]:
-    """Cell averages of the genuine triple term 2 C(a) C(b) R(a-b).
+    """Cell averages of the genuine triple term C(a) C(b) R(a-b) times its
+    ``model.TRIPLE_TERMS`` coefficient (2 thermal, 0 Poisson).
 
     The term lives on |a|, |b| <= s, s the peak support, so only the cells
     touching that square form the block.  Each cell is clipped to the support
@@ -312,7 +314,8 @@ def _ccr_block(
     cross = model.cross_correlation(params, (edges[:, 1:] + edges[:, :-1]) / 2)
     # steps of C across the edges, C zero off the clipped cell and on an empty one
     steps = np.diff(cross * (hi > lo), prepend=0.0, append=0.0)
-    w = weights(idx[rows]) * (-2 / step**2)
+    central = model.TRIPLE_TERMS[params.statistics]["central"]
+    w = weights(idx[rows]) * (-central / step**2)
     out = np.zeros((w.shape[0], idx.size))
     for j, i in enumerate(rows):
         p1 = model.auto_antider2(params, edges[i, :, None, None] - edges, 1)

@@ -6,10 +6,9 @@ The README desk scenario at ``run.duration_s = 0.01``, for each peak shape
 ``analytic``, ``simulate`` and ``count``; per shape, ``compare`` then sets
 the thermal conditioned curve against the Poisson one.  Each CSV body is
 hashed with its ``# generated_at`` line removed, each ``.evt`` file whole.
-``smear`` reads no ``run.model``, so one desk scenario per shape covers
-it; its four 1D products are recorded as parsed values.  The surface
-``p_ssi_smeared.csv`` is left out: its t1 = 0 row is built by the code that
-builds ``gbar2_c_analytic.csv``.
+``smear`` runs on the same four scenarios; its four 1D products are
+recorded as parsed values.  The surface ``p_ssi_smeared.csv`` is left out:
+its t1 = 0 row is built by the code that builds ``gbar2_c_analytic.csv``.
 
 After a declared change of a product body, rewrite the recorded digests and
 values with
@@ -117,16 +116,20 @@ def csv_rows(path) -> list[list]:
 
 
 def smear_values(workdir) -> dict[str, dict[str, list[list]]]:
-    """Run ``smear`` on the desk scenario of each shape in ``workdir`` and
-    return the rows of its 1D products, keyed by shape and file name."""
+    """Run ``smear`` on the desk scenario of each shape and source model in
+    ``workdir`` and return the rows of its 1D products, keyed by
+    ``shape-model`` and file name."""
     workdir = Path(workdir)
     out = {}
     for shape in ("box", "triangle"):
-        ini = workdir / f"{shape}-smear.ini"
-        ini.write_text(_set(desk_scenario(), "source.shape", shape))
-        _run("smear", str(ini), "-o", str(workdir / f"{shape}-smear"))
-        out[shape] = {name: csv_rows(workdir / f"{shape}-smear" / name)
-                      for name in SMEAR_PRODUCTS}
+        for model in ("poisson", "thermal"):
+            name = f"{shape}-{model}"
+            ini = workdir / f"{name}-smear.ini"
+            ini.write_text(_set(_set(desk_scenario(), "source.shape", shape),
+                                "run.model", model))
+            _run("smear", str(ini), "-o", str(workdir / f"{name}-smear"))
+            out[name] = {product: csv_rows(workdir / f"{name}-smear" / product)
+                         for product in SMEAR_PRODUCTS}
     return out
 
 

@@ -5,6 +5,7 @@ per-idler masked sums, no sorting tricks shared with the production path.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -121,9 +122,28 @@ def raw_evt(*channels, magic=b"SPDCEVT1"):
     return b"".join(out)
 
 
+def triple_rate(params, t1, t2, ti):
+    """The triple rate P(t1, t2, ti) written out at one point, from its
+    profiles alone: R(tau) = R rho(tau) with rho the box indicator of
+    |tau| <= dt/2 or the triangle (1 - |tau|/dt)+, and C(tau)^2 = R(tau)/dt.
+    A thermal source gives 2 C1 C2 R12 + R [R^2 + R12^2 + C1^2 + C2^2], a
+    Poisson source R [R^2 + C1^2 + C2^2]."""
+    r, dt = params.pair_rate, params.coherence_time
+
+    def auto(tau):
+        if params.shape == "box":
+            return r if abs(tau) <= dt / 2 else 0.0
+        return r * max(0.0, 1.0 - abs(tau) / dt)
+
+    c1_sq, c2_sq, r12 = auto(t1 - ti) / dt, auto(t2 - ti) / dt, auto(t1 - t2)
+    if params.statistics == "poisson":
+        return r * (r**2 + c1_sq + c2_sq)
+    return 2.0 * math.sqrt(c1_sq * c2_sq) * r12 + r * (r**2 + r12**2 + c1_sq + c2_sq)
+
+
 def dense_p_ssi(params, grid, step):
-    """Triple rate P(t1-ti, t2-ti) as cell averages of width ``step`` on the
-    full square of ``grid``, one matrix expression over every cell: the
+    """Thermal triple rate P(t1-ti, t2-ti) as cell averages of width ``step``
+    on the full square of ``grid``, one matrix expression over every cell: the
     constant, the two signal-idler ridges and the signal-signal diagonal from
     their exact antiderivatives, the central term from the library's block."""
     from spdclab import model, smearing

@@ -117,7 +117,7 @@ class TestScenarioParsing:
         sc = parse_scenario(minimal)
         assert sc.source.shape == "box"
         assert sc.chain.splitter_ratio == 0.5
-        assert sc.model == "poisson"
+        assert sc.source.statistics == "poisson"
         assert sc.seed == 1
 
     def test_unknown_key_rejected(self):
@@ -704,8 +704,8 @@ def test_header_block_parses_back(tmp_path, built):
     ``count`` names the scenario that made it, whether it was parsed from a
     file or built in code."""
     scenario = parse_scenario(DESK_CONFIG) if built == "parsed" else Scenario(
-        SourceParams(2e7, 1e-9), DetectorChain(jitter_width=1e-9),
-        AnalysisWindow(5e-9, 5e-11, 2e-8), 0.01, 1, "poisson")
+        SourceParams(2e7, 1e-9, statistics="poisson"), DetectorChain(jitter_width=1e-9),
+        AnalysisWindow(5e-9, 5e-11, 2e-8), 0.01, 1)
     run_analytic(scenario, tmp_path / "analytic")
     run_smear(scenario, tmp_path / "smear", with_surface=True)
     evt = run_simulate(scenario, tmp_path / "run")["events"]

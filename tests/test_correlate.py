@@ -213,6 +213,26 @@ def test_heralds_match_brute_gate_count(seed):
     assert heralds == brute_pair_counts(s1.timestamps, idler.timestamps, [0.0], 5e-9)[0]
 
 
+def test_counts_near_the_int64_tick_limit():
+    # a timestamp near 2**63 ticks minus a window bound near -4e18 ticks is
+    # past the int64 maximum: both passes must count as the oracles do
+    duration = 9 * 10**18
+    ti = np.array([5 * 10**18 - 10, duration - 5], dtype=np.int64)
+    t1 = np.arange(duration - 10, duration + 1, dtype=np.int64)
+    t2 = np.array([duration - 13], dtype=np.int64)
+    i, s1, s2 = (EventStream(c, t, duration) for c, t in
+                 (("idler", ti), ("signal1", t1), ("signal2", t2)))
+    delays, tauc = np.array([-4e3, 0.0, 4e3]), 1e-14
+    pairs = brute_pair_counts(t1, ti, delays, tauc)
+    assert list(pairs) == [0, 11, 11]
+    assert np.array_equal(pair_histogram(s1, i, delays, tauc).counts, pairs)
+    pairs_s1, pairs_s2, triples, heralds = coincidence_histograms(i, s1, s2, delays, tauc)
+    assert np.array_equal(pairs_s1.counts, pairs)
+    assert np.array_equal(pairs_s2.counts, brute_pair_counts(t2, ti, delays, tauc))
+    assert np.array_equal(triples.counts, brute_triple_counts(ti, t1, t2, delays, tauc))
+    assert heralds == brute_pair_counts(t1, ti, [0.0], tauc)[0] == 11
+
+
 # Property tests on tick-level streams: a few dozen events over a run of at
 # most 120 ticks, so window edges, run edges and empty streams all occur.
 _PROPERTY = settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spdclab import SourceParams, limit_ratios, model
@@ -13,6 +15,8 @@ from spdclab.model import (
     p_ssi,
     p_ssi_diag,
 )
+
+from _oracles import triple_rate
 
 
 def params_mu(mu, rate=2e7, shape="box"):
@@ -113,6 +117,13 @@ class TestG2Ss:
         p = SourceParams(1e7, 1e-9, "triangle")
         assert g2_ss_unconditional(p, 0.5e-9) == pytest.approx(1.25, rel=1e-14)
 
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_poisson_is_one(self, shape):
+        p = SourceParams(1e7, 1e-9, shape, "poisson")
+        tau = np.linspace(-3e-9, 3e-9, 61)
+        assert np.array_equal(g2_ss_unconditional(p, tau), np.ones_like(tau))
+        assert g2_ss_unconditional(p, 0.0) == 1.0
+
 
 class TestPssi:
     def test_accidental_floor_far_apart(self):
@@ -145,6 +156,18 @@ class TestPssi:
             a, p_ssi(p, t1 + shift, t2 + shift, ti + shift), rtol=1e-12
         )
         assert np.all(a >= p.pair_rate**3 * (1 - 1e-15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(["box", "triangle"]),
+       statistics=st.sampled_from(["thermal", "poisson"]),
+       rate=st.floats(1e3, 1e9), mu=st.floats(1e-6, 0.05),
+       points=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_p_ssi_matches_triple_rate_formula(shape, statistics, rate, mu, points):
+    # points are in coherence times, so every term's support is reached
+    p = SourceParams(rate, mu / rate, shape, statistics)
+    t1, t2, ti = (x * p.coherence_time for x in points)
+    assert p_ssi(p, t1, t2, ti) == pytest.approx(triple_rate(p, t1, t2, ti), rel=1e-13)
 
 
 class TestPssiDiag:

@@ -386,6 +386,23 @@ class TestSmearSurface:
         assert np.array_equal(sm.axis, ref.axis)
         assert np.max(np.abs(sm.values - ref.values) / np.abs(ref.values)) <= 1e-12
 
+    @pytest.mark.parametrize("shape, mass", [("box", 1.0), ("triangle", 2 / 3)])
+    def test_thermal_excess_rows_hold_the_diagonal_mass(self, shape, mass):
+        # beyond the central block's reach (7.1 ns) with the whole diagonal on
+        # the axis (to 17 ns), thermal - Poisson is the smeared diagonal
+        # R R(t1 - t2)^2 alone: each row sums to s^2 R^3 dt for the box and
+        # s^2 2 R^3 dt / 3 for the triangle, s the kernel's discrete area;
+        # measured within 9e-16 (box) and 7.4e-15 (triangle) relative
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        thermal, poisson = (smear_surface(SourceParams(2e7, 1e-9, shape, statistics), k,
+                                          3e-8) for statistics in ("thermal", "poisson"))
+        assert np.array_equal(thermal.axis, poisson.axis)
+        rows = (np.abs(thermal.axis) >= 8e-9) & (np.abs(thermal.axis) <= 1.6e-8)
+        sums = (thermal.values[rows] - poisson.values[rows]).sum(axis=1) * k.grid_step
+        s = k.samples.sum() * k.grid_step
+        expected = s**2 * 2e7**3 * 1e-9 * mass
+        assert np.max(np.abs(sums / expected - 1)) <= 1e-13
+
     @pytest.mark.parametrize("shape", ["box", "triangle"])
     def test_far_cells_equal_far_corner(self, shape):
         p = SourceParams(2e7, 1e-9, shape)
@@ -424,6 +441,23 @@ class TestGbar2cAnalytic:
             for tau in taus
         ])
         assert np.max(np.abs(curve.values - oracle) / oracle) <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_poisson_zero_delay_is_the_plateau_prediction(self, shape):
+        # a Poisson source has no diagonal and no central term, so the desk
+        # curve sits at (1 + 2X) / (1 + X)^2 = 11/36 at zero delay; measured
+        # within 7.3e-16 relative for both shapes
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        p = SourceParams(2e7, 1e-9, shape, "poisson")
+        value = at(gbar2c_analytic(p, k, np.array([0.0, 5e-11])), 0.0)
+        short = predict_plateaus(p, k).gbar2c_short
+        assert short == pytest.approx(11 / 36, rel=1e-12)
+        assert value == pytest.approx(short, rel=1e-14)
+        # the thermal curve keeps the diagonal and central terms above it
+        thermal = SourceParams(2e7, 1e-9, shape)
+        assert at(gbar2c_analytic(thermal, k, np.array([0.0, 5e-11])), 0.0) == (
+            pytest.approx({"box": 0.3289705295410159,
+                           "triangle": 0.3313157690313966}[shape], rel=1e-12))
 
     def test_box_zero_delay_matches_quadrature(self):
         # desk box on the desk's 50 ps kernel step; both box supports (|t| <= dt/2)
