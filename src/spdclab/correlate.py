@@ -22,16 +22,13 @@ its bin by table lookup, not binary search: the edge range is cut into
 power-of-two cells, at most 16 per edge, a table gives the last edge at or
 below each cell start, and only a difference in a cell that holds an edge
 takes a few compare-and-step rounds past the edges inside it.  The kernel
-takes one weight row per output histogram and bins each difference once
-for all of them, and it can count, per partner event, the differences that
-fall in one extra window.
+takes one weight row per output histogram, one weight per partner event,
+and bins each difference once for all rows; it can also count, per partner
+event, the differences in one extra window.
 
-``coincidence_histograms`` makes the two passes that ``count`` needs.  The
-signal1-idler pass also counts the heralding pairs in the signal1 gate and
-yields each idler's gate occupancy from the differences it forms; the
-idler-signal2 pass then counts the signal2-idler pairs (unit weight) and
-the triples (the idler's gate occupancy) at once.
-``triple_histogram`` is the triple part of that call.
+``coincidence_histograms`` makes both passes ``count`` needs, signal - idler
+on one window set; the idlers, their partner, carry the gate occupancy that
+weights the triples.  ``triple_histogram`` is the triple part of that call.
 
 Memory: a block holds at most ``CHUNK_SIZE`` reference events and a chunk
 at most ``CHUNK_SIZE`` differences (or one reference event with all of its
@@ -56,6 +53,7 @@ from .params import (
     MAX_COUNT_DIFFERENCES,
     TICKS_PER_SECOND,
     ConfigError,
+    GridError,
     guard,
     seconds_to_ticks,
 )
@@ -199,18 +197,16 @@ def _edge_binned_counts(
     [lows[k], highs[k]).
 
     Each row of ``weights`` is ``None`` (unit weight) or one integer weight
-    per event of ``ta``; the differences and their bins are formed once and
-    shared by every row.  ``occupancy=(low, high, out)`` also adds to
-    ``out[j]`` the number of ``ta`` events with ta_i - tb_j in [low, high),
-    a range that must lie inside the windows' span.
+    per event of ``tb``: ta_i - tb_j adds weight[j], and the differences and
+    their bins are shared by every row.  ``occupancy=(low, high, out)`` also
+    adds to ``out[j]`` the number of ``ta`` events with ta_i - tb_j in
+    [low, high), a range that must lie inside the windows' span.
 
     ``ta`` is taken in blocks of at most ``CHUNK_SIZE`` events, whose
-    partner ranges are found at once, and each block is cut where the
-    running partner count passes ``CHUNK_SIZE``: a chunk forms at most
-    ``CHUNK_SIZE`` differences, or holds one event whose partners alone
-    pass that.  Each event of ``ta`` is owned by exactly one chunk and the
-    bin totals are summed in int64, so chunked and unchunked counts agree
-    exactly.
+    partner ranges are found at once, and a block is cut where its running
+    partner count passes ``CHUNK_SIZE``: a chunk forms at most that many
+    differences, or holds one event.  Each event of ``ta`` is owned by one
+    chunk and the totals are int64 sums, so chunking changes no count.
     """
     edges, at = _distinct(np.concatenate((lows, highs)))
     lo, hi, top = int(edges[0]), int(edges[-1]), int(np.iinfo(np.int64).max)
@@ -245,13 +241,19 @@ def _edge_binned_counts(
                 out[first:stop] += np.bincount(hit, minlength=stop - first)
             bins = bin_of(d)
             for row, weight in zip(totals, weights):
-                np.add.at(row, bins, 1 if weight is None else
-                          np.repeat(weight[start + r0 : start + r1], counts[r0:r1]))
+                np.add.at(row, bins, 1 if weight is None else weight[partners])
             r0 = r1
     del bin_of  # the table is freed before the totals are summed
     cumulative = np.concatenate((np.zeros((len(weights), 1), np.int64),
                                  np.cumsum(totals, axis=1)), axis=1)
     return cumulative[:, at[lows.size:]] - cumulative[:, at[: lows.size]]
+
+
+def _delay_grid(delays) -> np.ndarray:
+    """``delays`` as floats; ``GridError`` for an empty grid."""
+    if np.size(delays) == 0:
+        raise GridError("the delay grid holds no delay")
+    return np.asarray(delays, dtype=float)
 
 
 def _common_duration(*streams: EventStream) -> float:
@@ -280,7 +282,7 @@ def pair_histogram(
     tauc: float,
 ) -> Histogram:
     """Count pairs with t_a - t_b in the window around every grid delay."""
-    delays = np.asarray(delays, dtype=float)
+    delays = _delay_grid(delays)
     lows, highs = _window_bounds(delays, tauc)
     duration = _common_duration(a, b)
     _guard_differences(len(a) * len(b), lows, highs, a.duration)
@@ -316,27 +318,24 @@ def coincidence_histograms(
     and the heralding count, the signal1-idler pairs in the zero-delay gate,
     from two passes.
 
-    The signal1 pass counts the gate window with the grid's windows, so the
-    grid need not hold 0, and it counts each idler's gate occupancy from the
-    differences it forms anyway.  The idler pass bins the idler-signal2
-    differences once for the pairs and for the triples, each weighted by its
-    idler's occupancy.
+    Both passes bin signal - idler on the grid's windows.  The signal1 pass
+    adds the gate window, so the grid need not hold 0, and counts each
+    idler's gate occupancy from the differences it forms anyway.  The
+    signal2 pass bins once for the pairs and for the triples, each
+    difference weighted by its idler's occupancy.
     """
-    delays = np.asarray(delays, dtype=float)
+    delays = _delay_grid(delays)
     # the signal1 gate is the window at delay 0, appended as the last one
     lows, highs = _window_bounds(np.append(delays, 0.0), tauc)
     duration = _common_duration(i, s1, s2)
-    # both passes, before either runs; the idler pass spans no more ticks
+    # both passes at once: the signal2 pass bins these windows less the gate
     _guard_differences((len(s1) + len(s2)) * len(i), lows, highs, i.duration)
     n1 = np.zeros(len(i), dtype=np.int64)
     (row,) = _edge_binned_counts(s1.timestamps, i.timestamps, lows, highs,
                                  occupancy=(lows[-1], highs[-1], n1))
     pairs_s1, heralds = row[:-1], int(row[-1])
-    lows, highs = lows[:-1], highs[:-1]
-    # idlers are the chunked reference so each one carries its gate weight;
-    # ts2 - ti in [low, high) is ti - ts2 in [1 - high, 1 - low)
-    pairs_s2, triples = _edge_binned_counts(i.timestamps, s2.timestamps, 1 - highs,
-                                            1 - lows, (None, n1))
+    pairs_s2, triples = _edge_binned_counts(s2.timestamps, i.timestamps, lows[:-1],
+                                            highs[:-1], (None, n1))
     return (*(Histogram(delays, counts, duration, tauc)
               for counts in (pairs_s1, pairs_s2, triples)), heralds)
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spdclab import (
@@ -213,6 +213,21 @@ def test_heralds_match_brute_gate_count(seed):
     assert heralds == brute_pair_counts(s1.timestamps, idler.timestamps, [0.0], 5e-9)[0]
 
 
+def test_empty_delay_grid_refused_before_counting(monkeypatch):
+    i, s1, s2 = (stream(c, [5e-9]) for c in ("idler", "signal1", "signal2"))
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted an empty grid")
+
+    monkeypatch.setattr(correlate, "_edge_binned_counts", no_counting)
+    with pytest.raises(GridError, match="no delay"):
+        pair_histogram(s1, i, [], 1e-9)
+    with pytest.raises(GridError, match="no delay"):
+        coincidence_histograms(i, s1, s2, [], 1e-9)
+    with pytest.raises(GridError, match="no delay"):
+        triple_histogram(i, s1, s2, np.array([]), 1e-9)
+
+
 def test_counts_near_the_int64_tick_limit():
     # a timestamp near 2**63 ticks minus a window bound near -4e18 ticks is
     # past the int64 maximum: both passes must count as the oracles do
@@ -311,7 +326,7 @@ class TestCountingProperties:
         s1 = _tick_stream("signal1", ts1, duration)
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
-        with _chunked(chunk, len(i)):
+        with _chunked(chunk, max(len(s1), len(s2))):
             h = triple_histogram(i, s1, s2, delays, tauc)
         ref = brute_triple_counts(i.timestamps, s1.timestamps, s2.timestamps,
                                   delays, tauc)
@@ -332,7 +347,7 @@ class TestCountingProperties:
         s1 = _tick_stream("signal1", ts1, duration)
         s2 = _tick_stream("signal2", ts2, duration)
         delays, tauc = _seconds(grid, tc)
-        with _chunked(chunk, max(len(i), len(s1))):
+        with _chunked(chunk, max(len(s1), len(s2))):
             pairs_s1, pairs_s2, triples, heralds = coincidence_histograms(
                 i, s1, s2, delays, tauc)
         assert heralds == brute_pair_counts(s1.timestamps, i.timestamps, [0.0], tauc)[0]
@@ -364,13 +379,32 @@ class TestCountingProperties:
         assert np.array_equal(out, np.sum((d >= low) & (d < high), axis=1))
         assert np.array_equal(counts, brute_pair_counts(ta, tb, *_seconds(grid, tc)))
 
+    @_PROPERTY
+    @given(case=_counting_case(2), chunk=_CHUNKS)
+    @example(case=([{0, 5, 10}, {4}], [-5, 0, 5], 1, 10), chunk=1)
+    @example(case=([{3}, {0, 2, 3, 4, 9}], [-1, 0, 1], 1, 10), chunk="above")
+    def test_weights_index_the_partner_stream(self, case, chunk):
+        (tb, ta), grid, tc, _ = case
+        assume(len(ta) != len(tb))
+        ta = np.array(sorted(ta), dtype=np.int64)
+        tb = np.array(sorted(tb), dtype=np.int64)
+        # a distinct weight per partner event, so a misindexed one shows
+        w = np.arange(1, tb.size + 1, dtype=np.int64) ** 2
+        lows, highs = _window_bounds(*_seconds(grid, tc))
+        with _chunked(chunk, ta.size):
+            unit, weighted = _edge_binned_counts(ta, tb, lows, highs, (None, w))
+        d = (ta[None, :] - tb[:, None])[..., None]
+        inside = (d >= lows) & (d < highs)
+        assert np.array_equal(unit, inside.sum(axis=(0, 1)))
+        assert np.array_equal(weighted, (w[:, None, None] * inside).sum(axis=(0, 1)))
+
 
 class TestDifferenceChunks:
     """A chunk holds at most ``CHUNK_SIZE`` differences, or one reference
     event with all of its partners.  The streams are ticks over a 6e5-tick
     run: about 22 partners per reference event inside the windows' span in
-    both passes, and one signal1 event and the idlers around it inside
-    bursts that give them about 80."""
+    both passes, and one signal1 event and the signal2 events around it
+    inside bursts that give them about 80."""
 
     GRID, TC = np.arange(-4, 5) * 500, 250
 
@@ -395,11 +429,11 @@ class TestDifferenceChunks:
             brute_pair_counts(s1.timestamps, i.timestamps, [0.0], tauc)[0],
         )
         # partners per reference event inside the windows' span, in the
-        # signal1 pass and in the idler pass
+        # signal1 pass and in the signal2 pass
         lo, hi = self.GRID[0] - self.TC, self.GRID[-1] + self.TC
         partners = [np.sum((d >= lo) & (d <= hi), axis=1) for d in (
             s1.timestamps[:, None] - i.timestamps[None, :],
-            s2.timestamps[None, :] - i.timestamps[:, None])]
+            s2.timestamps[:, None] - i.timestamps[None, :])]
         return (i, s1, s2), expected, partners
 
     @pytest.mark.parametrize("chunk", [1, 5, 21, 64, 1000, CHUNK_SIZE])
@@ -522,7 +556,7 @@ _EDGE_SETS = {
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_table_binning_matches_searchsorted(name, mirrored):
     lows, highs = _window_bounds(*_EDGE_SETS[name])
-    if mirrored:  # the idler-signal2 pass bins ti - ts2 in [1 - high, 1 - low)
+    if mirrored:  # the windows reflected about half a tick: [1 - high, 1 - low)
         lows, highs = 1 - highs, 1 - lows
     edges = np.sort(np.concatenate((lows, highs)))
     lo, hi = edges[0], edges[-1]
