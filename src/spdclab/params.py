@@ -107,7 +107,7 @@ class SourceParams:
                 f"mean pairs per coherence cell mu = {self.mu:.3g} >= "
                 f"{MU_WARN_THRESHOLD}; low-gain model results are unreliable",
                 ModelValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

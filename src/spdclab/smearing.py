@@ -52,11 +52,29 @@ class ResponseKernel:
     symmetric grid of ``grid_step``.  The fields are its only inputs, so
     kernels built alike compare equal and hash alike.  ``samples`` (computed
     on first use) are cell averages renormalized to unit discrete area, so
-    convolving a constant curve reproduces it exactly."""
+    convolving a constant curve reproduces it exactly.  Every construction
+    raises ``GridError`` unless tau_c > 0, tau_d >= 0 and ``grid_step``
+    resolves the transitions: at most a twentieth of the smaller time scale
+    (of tau_c when tau_d = 0)."""
 
     coincidence_halfwidth: float
     jitter: float
     grid_step: float
+
+    def __post_init__(self) -> None:
+        tau_c, tau_d, step = self.coincidence_halfwidth, self.jitter, self.grid_step
+        if not tau_c > 0:
+            raise GridError("coincidence half-width must be > 0")
+        if tau_d < 0:
+            raise GridError("jitter must be >= 0")
+        if not step > 0:
+            raise GridError(f"grid_step must be > 0, got {step:g}")
+        scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
+        if step > scale / 20 * (1 + _STEP_TOL):
+            raise GridError(
+                f"grid_step {step:g} too coarse for response scales "
+                f"(need <= {scale / 20:g})"
+            )
 
     @property
     def plateau_height(self) -> float:
@@ -98,23 +116,7 @@ class ResponseKernel:
 
 
 def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel:
-    """The response trapezoid sampled on a symmetric grid of ``grid_step``.
-
-    The grid must resolve the transition regions: ``grid_step`` may not
-    exceed a twentieth of the smaller time scale (of tau_c when tau_d = 0).
-    """
-    if not tau_c > 0:
-        raise GridError("coincidence half-width must be > 0")
-    if tau_d < 0:
-        raise GridError("jitter must be >= 0")
-    if not grid_step > 0:
-        raise GridError(f"grid_step must be > 0, got {grid_step:g}")
-    scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
-    if grid_step > scale / 20 * (1 + _STEP_TOL):
-        raise GridError(
-            f"grid_step {grid_step:g} too coarse for response scales "
-            f"(need <= {scale / 20:g})"
-        )
+    """The checked ``ResponseKernel(tau_c, tau_d, grid_step)``."""
     return ResponseKernel(tau_c, tau_d, grid_step)
 
 
@@ -171,7 +173,8 @@ def _smeared_rows(
     n_out = n - 2 * m
 
     # ridges R C(t)^2, one axis each: the kernel along that axis, s across
-    c2_sm = _convolve(_c2_cells(params, grid, h), k, "valid") * h
+    c2 = _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, h)
+    c2_sm = _convolve(c2, k, "valid") * h
     ridge = terms["ridges"] * r * s * c2_sm
     values = np.add.outer(terms["constant"] * r**3 * s**2 + ridge[rows], ridge)
 
@@ -185,20 +188,12 @@ def _smeared_rows(
     g = terms["diagonal"] * r * _convolve(a, _convolve(k, k) * h**2, "valid")
     values += sliding_window_view(g[::-1], n_out)[::-1][rows]
 
-    # central term: its block rows within the kernel's reach of the rows asked
-    # for, weighted by the kernel along t1 onto the rows asked for from lo on
-    # (block row i reaches i - 2m .. i), then convolved in full along t2;
-    # full column v lands on output column v + col0 - 2m
-    lo = lambda i: max(rows.start, i - 2 * m)  # noqa: E731
-
-    def weights(i):
-        lag = np.arange(lo(i[0]), min(rows.stop, i[-1] + 1))[:, None] + 2 * m - i
-        return np.where(np.abs(lag - m) <= m, k[lag.clip(0, 2 * m)], 0.0)
-
-    reach = np.max(np.abs(grid[m : n - m][rows])) + (m + 0.5) * h
-    row0, col0, block = _ccr_block(params, grid, h, reach, weights)
+    # central term: its block rows weighted by the kernel along t1 onto the
+    # rows asked for, then convolved in full along t2; full column v lands on
+    # output column v + col0 - 2m
+    row0, col0, block = _ccr_block(params, grid, h, k, rows)
     centre = _convolve(block, k) * h**2
-    at, top = col0 - 2 * m, lo(row0) - rows.start
+    at, top = col0 - 2 * m, row0 - rows.start
     first, last = max(0, -at), min(centre.shape[1], n_out - at)
     values[top : top + len(centre), at + first : at + last] += centre[:, first:last]
     return values, c2_sm
@@ -280,16 +275,12 @@ def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
     return (cumulative(grid + step / 2) - cumulative(grid - step / 2)) / step
 
 
-def _c2_cells(params: SourceParams, grid: np.ndarray, step: float) -> np.ndarray:
-    """Cell averages of C(t)^2, the signal-idler excess times R^2."""
-    return _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, step)
-
-
 def _ccr_block(
-    params: SourceParams, grid: np.ndarray, step: float, reach: float, weights
+    params: SourceParams, grid: np.ndarray, step: float, k: np.ndarray, rows: slice
 ) -> tuple[int, int, np.ndarray]:
     """Cell averages of the genuine triple term C(a) C(b) R(a-b) times its
-    ``model.TRIPLE_TERMS`` coefficient (2 thermal, 0 Poisson).
+    ``model.TRIPLE_TERMS`` coefficient (2 thermal, 0 Poisson), weighted by
+    the kernel samples ``k`` along a onto the output rows ``rows``.
 
     The term lives on |a|, |b| <= s, s the peak support, so only the cells
     touching that square form the block.  Each cell is clipped to the support
@@ -297,34 +288,41 @@ def _ccr_block(
     their centres and R(a-b) is integrated exactly over each pair of subcells
     by mixed second differences of its second antiderivative, summed by parts
     over the steps of C at the (m + 1)^2 pairs of edges.  On the box, where C
-    is constant on the support, every cell is exact.  Rows are kept for the
-    cells within ``reach`` of zero.  ``weights`` maps the rows' indices on
-    ``grid`` to a matrix with a column per row.  Returns the indices on
-    ``grid`` of the first row and column and ``weights @ block`` (the block
+    is constant on the support, every cell is exact.  Output row r in ``rows``,
+    centred on grid index r + k.size // 2, reads block rows i = r .. r +
+    k.size - 1 with weight k[r + k.size - 1 - i], so only those rows are built,
+    and none for a zero coefficient (``k = np.ones(1)`` keeps the block
+    itself); a zero weight adds nothing.  Returns the first output row, the
+    index on ``grid`` of the first column and the weighted rows (the block
     zero outside it), built row by row.  Rows x cells x (m + 1)^2 past
     ``MAX_CONVOLVE_WORK`` raise ``GuardError`` before any row is formed.
     """
     s = model.support(params)
     idx = np.nonzero(np.abs(grid) <= s + step)[0]
-    rows = np.nonzero(np.abs(grid[idx]) <= reach)[0]
+    reach = k.size - 1
+    built = np.nonzero((idx >= rows.start) & (idx < rows.stop + reach))[0]
     m = int(np.clip(np.ceil(400 * min(step, 2 * s) / params.coherence_time), 1, 16))
-    guard("central block work", rows.size * idx.size * (m + 1) ** 2, MAX_CONVOLVE_WORK)
+    guard("central block work", built.size * idx.size * (m + 1) ** 2, MAX_CONVOLVE_WORK)
     lo, hi = np.split(np.clip(grid[idx, None] + [-step / 2, step / 2], -s, s), 2, 1)
     edges = lo + (hi - lo) * (np.arange(m + 1) / m)
     cross = model.cross_correlation(params, (edges[:, 1:] + edges[:, :-1]) / 2)
     # steps of C across the edges, C zero off the clipped cell and on an empty one
     steps = np.diff(cross * (hi > lo), prepend=0.0, append=0.0)
     central = model.TRIPLE_TERMS[params.statistics]["central"]
-    w = weights(idx[rows]) * (-central / step**2)
-    out = np.zeros((w.shape[0], idx.size))
-    for j, i in enumerate(rows):
+    w = k * (-central / step**2)
+    lags = np.flatnonzero(w)  # one run: a kernel's support is one interval
+    top = max(rows.start, idx[built[0]] - reach)
+    out = np.zeros((min(rows.stop, idx[built[-1]] + 1) - top, idx.size))
+    for i in built if lags.size else ():
         p1 = model.auto_antider2(params, edges[i, :, None, None] - edges, 1)
         # cells farther apart than s + step are exact zeros, not rounding residue
         row = np.einsum("p,pvq,vq->v", steps[i], p1, steps)
         row *= np.abs(grid[idx] - grid[idx[i]]) < s + step
-        used = np.nonzero(w[:, j])[0]
-        out[used] += w[used, j, None] * row
-    return int(idx[rows[0]]), int(idx[0]), out
+        # output rows r0 .. r1 - 1 read this row at non-zero weights w[r - d]
+        d = idx[i] - reach
+        r0, r1 = max(top, d + lags[0]), min(rows.stop, d + lags[-1] + 1)
+        out[r0 - top : r1 - top] += w[r0 - d : r1 - d, None] * row
+    return int(top), int(idx[0]), out
 
 
 # ---------------------------------------------------------------------------

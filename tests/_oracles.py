@@ -82,11 +82,6 @@ def kernel_value(kernel, tau):
     return out if out.ndim else float(out)
 
 
-def unit_weights(rows):
-    """The identity weights of ``smearing._ccr_block``: the block itself."""
-    return np.eye(rows.size)
-
-
 def numeric_smear(curve_delays, curve_values, kernel_values, step):
     """Riemann-sum convolution by explicit per-point summation (valid region)."""
     m = (len(kernel_values) - 1) // 2
@@ -156,7 +151,8 @@ def dense_p_ssi(params, grid, step):
     q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
-    row0, col0, block = smearing._ccr_block(params, grid, step, np.inf, unit_weights)
+    row0, col0, block = smearing._ccr_block(params, grid, step, np.ones(1),
+                                            slice(0, grid.size))
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
     return CorrelationSurface(grid, values)

@@ -214,10 +214,13 @@ class TestCliCommands:
                    if ln.startswith("# generated_at = ")}
         assert len(stamped) == 1, stamped
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
-        bad.write_text("source.rate_hz = 1e6\n")
-        assert main(["analytic", str(bad), "-o", str(tmp_path / "x")]) == 2
+        for text, message in (("source.rate_hz = 1e6\n", "missing keys"),
+                              ("source.rate_hz 1e6\n", "line 1: expected 'key = value'")):
+            bad.write_text(text)
+            assert main(["analytic", str(bad), "-o", str(tmp_path / "x")]) == 2
+            assert message in capsys.readouterr().err
 
     def test_guard_exit_code(self, config_path, tmp_path):
         import warnings
@@ -499,17 +502,26 @@ class TestCliCommands:
     def test_compare_one_grid_rule(self, tmp_path, capsys):
         # a delay of b is a's grid point only within 1e-6 of a's spacing, as
         # in the smearing layer's lookup, however fine the grid: a half-bin
-        # shift and a step 4e-3 off are refused
+        # shift, a step 4e-3 off and a whole-bin shift (its last delay off a's
+        # grid) are refused; so are a row count that differs and a's delays
+        # rotated by one row, every delay a's grid point in another row
         n = np.arange(-100, 101)
         a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "z.csv"
         names = ["delay_s", "value", "stderr"]
-        for step_a, step_b, shift in ((1e-14, 1e-14, 0.5e-14), (1e-13, 1.004e-13, 0.0)):
-            _write_table(a, [], names, n * step_a, np.ones(201), np.full(201, 0.1))
-            _write_table(b, [], names, n * step_b + shift, np.ones(201),
-                         np.full(201, 0.1))
+        for delays_a, delays_b, message in (
+                (n * 1e-14, n * 1e-14 + 0.5e-14, "is not a point of the grid"),
+                (n * 1e-13, n * 1.004e-13, "is not a point of the grid"),
+                (n * 1e-9, (n + 1) * 1e-9, "is not a point of the grid"),
+                (n * 1e-9, n[1:] * 1e-9, "compare inputs must share one delay grid"),
+                (n * 1e-9, np.roll(n, 1) * 1e-9,
+                 "compare inputs must share one delay grid")):
+            for path, delays in ((a, delays_a), (b, delays_b)):
+                _write_table(path, [], names, delays, np.ones(delays.size),
+                             np.full(delays.size, 0.1))
             assert main(["compare", str(a), str(b), "-o", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
+            assert message in captured.err
             assert not out.exists()
         # every estimator product of one scenario, either model, still compares
         products = []
@@ -556,7 +568,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("values, message", [
         ("5e-9,abc", "window.tauc_s: not a number: 'abc'"),
         ("5e-9,0", "coincidence_halfwidth must be > 0"),
-    ], ids=["not_a_number", "zero_window"])
+        (",", "sweep needs at least one value"),
+    ], ids=["not_a_number", "zero_window", "no_value"])
     def test_sweep_bad_value_runs_none(self, config_path, tmp_path, capsys,
                                        values, message):
         # a scenario error in any value exits before the first value runs

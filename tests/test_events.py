@@ -57,8 +57,9 @@ class TestThermalCells:
         assert abs(rate - DESK.pair_rate) < 4 * sigma
 
     def test_zero_duration_empty(self):
-        pairs = gen_thermal_cells(DESK, 0.0, seed=1)
-        assert len(pairs) == 0
+        for gen in (gen_thermal_cells, gen_poisson_pairs):
+            pairs = gen(DESK, 0.0, seed=1)
+            assert len(pairs) == 0 and pairs.duration == 0.0
 
     def test_mu_guard(self):
         with pytest.warns(Warning):

@@ -100,6 +100,7 @@ _GOOD = [(0, 100, [1, 50]), (1, 100, [2]), (2, 100, [3, 4])]
     ([*_GOOD, (1, 100, [7])], "expected each"),
     ([_GOOD[0], _GOOD[1], _GOOD[1]], "expected each"),
     ([(c, 2**63, ticks) for c, _, ticks in _GOOD], "duration must lie within"),
+    ([(7, 100, [1]), *_GOOD[1:]], "unknown channel id 7"),
 ])
 def test_malformed_content_rejected(tmp_path, channels, match):
     path = tmp_path / "bad.evt"

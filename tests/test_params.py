@@ -23,8 +23,10 @@ def test_source_params_validation():
 def test_mu_and_validity_warning():
     quiet = SourceParams(2e7, 1e-9)
     assert quiet.mu == pytest.approx(0.02)
-    with pytest.warns(ModelValidityWarning):
+    with pytest.warns(ModelValidityWarning) as record:
         SourceParams(2e8, 1e-9)  # mu = 0.2
+    # the warning names the caller, not the dataclass-generated __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_detector_chain_validation():

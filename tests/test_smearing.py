@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from spdclab import (
     GridError,
     GuardError,
+    ResponseKernel,
     SourceParams,
     build_kernel,
     gbar2c_analytic,
@@ -14,7 +17,7 @@ from spdclab import (
 from spdclab import model, smearing
 
 from _oracles import (at, dense_p_ssi, dense_smear_surface, hexagon_cell_areas,
-                      kernel_value, numeric_smear, unit_weights)
+                      kernel_value, numeric_smear)
 
 
 class TestBuildKernel:
@@ -67,6 +70,19 @@ class TestBuildKernel:
         for step in (-5e-11, 0.0, np.nan):
             with pytest.raises(GridError, match="grid_step"):
                 build_kernel(1.5e-9, 0.35e-9, step)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 1e-9, 5e-11), "coincidence half-width must be > 0"),
+        ((5e-9, -1e-9, 5e-11), "jitter must be >= 0"),
+        ((5e-9, 1e-9, 0.0), "grid_step must be > 0, got 0"),
+        ((5e-9, 1e-9, 1e-8), "grid_step 1e-08 too coarse for response scales "
+                             "(need <= 5e-11)"),
+    ], ids=["no_window", "negative_jitter", "zero_step", "coarse_step"])
+    def test_every_kernel_checked(self, args, message):
+        # however a kernel is built, the same inputs are refused alike
+        for build in (build_kernel, ResponseKernel):
+            with pytest.raises(GridError, match=re.escape(message)):
+                build(*args)
 
 
 def _raw_g2_si(p, step, half_n):
@@ -240,7 +256,8 @@ class TestSmearSurface:
         grid = np.arange(-521, 522) * 5e-11
         tracemalloc.start()
         try:
-            block = smearing._ccr_block(p, grid, 5e-11, np.inf, unit_weights)[-1]
+            block = smearing._ccr_block(p, grid, 5e-11, np.ones(1),
+                                        slice(0, grid.size))[-1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +277,8 @@ class TestSmearSurface:
         tracemalloc.start()
         try:
             with pytest.raises(GuardError, match="central block work"):
-                smearing._ccr_block(p, grid, 5e-11, 5e-7, unit_weights)
+                smearing._ccr_block(p, grid, 5e-11, np.ones(1),
+                                    slice(400_000 - 10_000, 400_000 + 10_001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,8 +290,8 @@ class TestSmearSurface:
         # 3 dt^2 / 4, on the desk grid whatever dt is
         p = SourceParams(2e7, dt)
         step = 5e-11
-        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.inf,
-                                   unit_weights)[-1]
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.ones(1),
+                                   slice(0, 1043))[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(1.5 * p.pair_rate**2 * dt, rel=1e-12)
 
@@ -282,7 +300,8 @@ class TestSmearSurface:
         p = SourceParams(1e6, dt)
         step = 5e-11
         grid = np.arange(-521, 522) * step
-        row0, col0, block = smearing._ccr_block(p, grid, step, np.inf, unit_weights)
+        row0, col0, block = smearing._ccr_block(p, grid, step, np.ones(1),
+                                                slice(0, grid.size))
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         area = hexagon_cell_areas(rows, cols, step, dt / 2)
@@ -308,8 +327,8 @@ class TestSmearSurface:
         assert j == pytest.approx(0.8654498469497874, rel=1e-10)
         p = SourceParams(2e7, 1e-9, "triangle")
         step = 5e-11
-        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.inf,
-                                   unit_weights)[-1]
+        block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.ones(1),
+                                   slice(0, 1043))[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(2 * j * p.pair_rate**2 * 1e-9, rel=1e-5)
 
@@ -353,7 +372,8 @@ class TestSmearSurface:
             return integral(inner, a - step / 2, a + step / 2, cuts, epsrel=1e-11) / step**2
 
         grid = np.arange(-40, 41) * step
-        row0, col0, block = smearing._ccr_block(p, grid, step, np.inf, unit_weights)
+        row0, col0, block = smearing._ccr_block(p, grid, step, np.ones(1),
+                                                slice(0, grid.size))
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         assert rows[0] < -dt and cols[-1] > dt
@@ -522,7 +542,8 @@ class TestSamplers:
         step = step_frac * p.coherence_time
         half_n = np.ceil(max(40 * step, 4 * p.coherence_time) / step)
         grid = np.arange(-half_n, half_n + 1) * step
-        total = np.sum(smearing._c2_cells(p, grid, step)) * step / p.pair_rate**2
+        c2 = smearing._cell_average(lambda t: model.cross_sq_cumulative(p, t), grid, step)
+        total = np.sum(c2) * step / p.pair_rate**2
         assert total == pytest.approx(1 / p.pair_rate, rel=1e-12)
 
     @pytest.mark.parametrize("shape", ["box", "triangle"])
