@@ -75,7 +75,7 @@ class Histogram:
             raise GridError("counts and delays must have matching shapes")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
 
     @property

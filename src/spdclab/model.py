@@ -1,32 +1,19 @@
 """Closed-form correlation and coherence functions of the pair source.
 
 The low-gain source model is fully described by two real, even functions:
-the beam autocorrelation R(tau), with R(0) = pair rate R, and the
-signal-idler cross-correlation amplitude C(tau).  Both are supported on a
-delay range set by the coherence time dt and normalized so that
+the beam autocorrelation R(tau) = R rho(tau / dt), R the pair rate and dt
+the coherence time, and the signal-idler cross-correlation amplitude C(tau),
+tied to it by C(tau)^2 = R(tau) / dt.  So C(0)^2 / R^2 = 1 / (R dt), and
+the signal-idler coherence peaks at g2_si(0) = 1 + 1/(R dt).
 
-    C(0)^2 / R^2 = 1 / (R * dt)
-
-which makes the signal-idler coherence peak g2_si(0) = 1 + 1/(R*dt).
-Both shapes below share one profile rho(tau) = R(tau)/R and tie C to R by
-
-    C(tau)^2 = R(tau) / dt
-
-so a shape is decided once, by its profile, its support and its exact
-antiderivatives.
-
-Two peak shapes are provided:
-
-``box``
-    R(tau) = R for |tau| <= dt/2, else 0, and C^2 constant on the same
-    support.  This is the canonical model; every piecewise expression below
-    follows from it by direct substitution.
-
-``triangle``
-    R(tau) decays linearly to zero at |tau| = dt and C^2(tau) decays
-    linearly to zero at |tau| = dt, with C^2(0) and the excess integral
-    of g2_si preserved.  Used to demonstrate that window-averaged
-    observables depend only on peak integrals, not on peak shapes.
+A peak shape is stated once, in :data:`SHAPE_TABLE`: its profile rho and
+rho^2 as even piecewise polynomials in units of dt (``_Spline``, one algebra
+of boxes, their convolutions and their antiderivatives), from which the
+profile, its support and the exact antiderivatives of the grid samplers are
+all read.  ``box`` (rho = 1 on |tau| <= dt/2) is the canonical model;
+``triangle`` (rho falls linearly to zero at |tau| = dt, keeping C^2(0) and
+the excess integral of g2_si) shows that window-averaged observables depend
+only on peak integrals, not on peak shapes.
 
 The triple rate's terms carry one coefficient each per source statistics,
 declared once in :data:`TRIPLE_TERMS` and read by ``p_ssi``,
@@ -36,6 +23,9 @@ All functions accept scalars or numpy arrays for the time arguments and
 broadcast in the usual way.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -68,25 +58,113 @@ TRIPLE_TERMS = {
 FAR_FACTOR = 1e3
 
 
+class _Spline:
+    """An even piecewise polynomial f(x), the sum of c (x - s)_+^n / n! over
+    its terms (c, s, n), zero beyond its outer knots, x in units of its own
+    scale; after ``integral`` its antiderivative F from -inf, after two its
+    second antiderivative P with P(0) = P'(0) = 0.  Boxes, their convolutions
+    and the peak profiles form one set, closed under ``conv`` and
+    ``integral``: Schoenberg's B-spline construction.
+
+    A call evaluates at -|x|, in the local coordinate of the piece holding it,
+    and mirrors: f(x) = f(-|x|), F(x) = T - F(-x) for x > 0 and P(x) =
+    Q(-|x|) + T |x| / 2 - Q(0), T the total of f and Q its second
+    antiderivative from -inf.  So truncated powers are never summed off the
+    support, where they cancel catastrophically.
+    """
+
+    def __init__(self, terms, lift: int = 0):
+        self.terms, self.lift = tuple(terms), lift
+        left = sorted({s for _, s, _ in self.terms if s < 0})
+        self.knots = np.array(left[:1] + left)  # a zero piece left of the support
+        # row k: each piece's Taylor coefficient of u^k, u = x - its knot
+        self.coef = np.zeros((max(n for *_, n in self.terms) + lift + 1, len(self.knots)))
+        for piece, a in enumerate(left, 1):
+            for c, s, n in self.terms:
+                for k in range(n + lift + 1) if s <= a else ():
+                    j = n + lift - k
+                    self.coef[k, piece] += c * (a - s)**j / math.factorial(j) / math.factorial(k)
+        # F(0) = T / 2 and Q(0), from the left half's terms
+        self.half, self.q0 = (sum(c * (-s) ** (n + j) / math.factorial(n + j)
+                                  for c, s, n in self.terms if s < 0) for j in (1, 2))
+
+    @staticmethod
+    def box(w: float) -> _Spline:
+        """The unit-area box on |x| <= w."""
+        return _Spline([(0.5 / w, -w, 0), (-0.5 / w, w, 0)])
+
+    def conv(self, other: _Spline) -> _Spline:
+        """f convolved with ``other``, term by term: (x - a)_+^m / m! with
+        (x - b)_+^n / n! gives (x - a - b)_+^(m+n+1) / (m+n+1)!."""
+        return _Spline([(c * d, s + t, m + n + 1)
+                        for c, s, m in self.terms for d, t, n in other.terms])
+
+    @functools.lru_cache(maxsize=32)  # the table's antiderivatives, built once
+    def integral(self) -> _Spline:
+        return _Spline(self.terms, self.lift + 1)
+
+    def __call__(self, x) -> np.ndarray:
+        """f, F or P at ``x``: always a new ndarray, 0-d for a scalar."""
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        # -|x|, clamped at twice the outer knot: far points, inf too, read the zero piece
+        v = np.maximum(-ax, 2 * self.knots[0])
+        i = sum(v >= s for s in self.knots[1:])  # the last knot at or left of v
+        u, out = v - self.knots[i], self.coef[-1].take(i)
+        for c in self.coef[-2::-1]:
+            out *= u
+            out += c.take(i)
+        if self.lift == 1:
+            out = np.where(x > 0, 2 * self.half - out, out)
+        elif self.lift == 2:
+            out = out + self.half * ax - self.q0
+        return np.asarray(out)
+
+
+_BOX = _Spline.box(0.5)
+
+#: each shape's profile rho = R(tau)/R and its square, keyed by the power, in
+#: units of dt: the box indicator of |x| <= 1/2, its own square, and the
+#: triangle (x+1)_+ - 2 x_+ + (x-1)_+ = box * box, whose square is
+#: (x+1)_+^2 - (x-1)_+^2 - 4 x_+
+SHAPE_TABLE = {
+    "box": {1: _BOX, 2: _BOX},
+    "triangle": {1: _BOX.conv(_BOX),
+                 2: _Spline([(2.0, -1.0, 2), (-4.0, 0.0, 1), (-2.0, 1.0, 2)])},
+}
+
+
 def support(params: SourceParams) -> float:
-    """Half-width beyond which C and R vanish: dt/2 for the box, dt for
-    the triangle."""
-    dt = params.coherence_time
-    return dt / 2 if params.shape == "box" else dt
+    """Half-width beyond which C and R vanish: dt/2 for the box, dt for the triangle."""
+    return -SHAPE_TABLE[params.shape][1].knots[0] * params.coherence_time
 
 
 def _profile(params: SourceParams, tau) -> np.ndarray:
-    """The peak profile rho(tau) = R(tau)/R: the indicator of |tau| <= dt/2
-    for the box, (1 - |tau|/dt) clipped at zero for the triangle.
+    """The peak profile rho(tau) = R(tau)/R of ``SHAPE_TABLE``: the indicator
+    of |tau| <= dt/2 for the box, (1 - |tau|/dt) clipped at zero for the
+    triangle.  Always a new ndarray, 0-d for a scalar, so that callers scale
+    it in place and form no second array of its size."""
+    return SHAPE_TABLE[params.shape][1](np.divide(tau, params.coherence_time))
 
-    Always a new ndarray, 0-d for a scalar, so that callers scale it in
-    place and form no second array of its size.
-    """
-    tau = np.asarray(tau, dtype=float)
+
+def cross_sq_cumulative(params: SourceParams, tau):
+    """Running integral of C(u)^2 = R rho(u/dt) / dt from -inf to tau, the
+    first antiderivative R F(tau/dt) of the profile; totals R at +inf."""
+    antider = SHAPE_TABLE[params.shape][1].integral()
+    out = params.pair_rate * antider(np.divide(tau, params.coherence_time))
+    return out if out.ndim else float(out)
+
+
+def auto_antider2(params: SourceParams, tau, power):
+    """Second antiderivative P(tau) of R(u)^power, power 1 or 2, with P(0) =
+    P'(0) = 0: R^power dt^2 times that of rho^power at tau/dt.  Even, and
+    linear beyond the support.  Mixed second differences of P are exact
+    integrals of R(t1-t2)^power over rectangles, so the diagonal ridge
+    (power 2) and the central triple term (power 1) keep exact integrals."""
     dt = params.coherence_time
-    if params.shape == "box":
-        return np.where(np.abs(tau) <= dt / 2, 1.0, 0.0)
-    return np.asarray(np.clip(1.0 - np.abs(tau) / dt, 0.0, None))
+    antider = SHAPE_TABLE[params.shape][power].integral().integral()
+    out = params.pair_rate**power * dt**2 * antider(np.divide(tau, dt))
+    return out if out.ndim else float(out)
 
 
 def auto_correlation(params: SourceParams, tau):
@@ -97,12 +175,8 @@ def auto_correlation(params: SourceParams, tau):
 
 
 def cross_correlation(params: SourceParams, tau):
-    """Signal-idler cross-correlation amplitude C(tau) = sqrt(R(tau) / dt).
-
-    C(0) = sqrt(R / dt) for both shapes; the box keeps C constant over
-    |tau| <= dt/2 while the triangle lets C^2 decay linearly to zero at
-    |tau| = dt.
-    """
+    """Signal-idler cross-correlation amplitude C(tau) = sqrt(R(tau) / dt),
+    sqrt(R / dt) at zero delay for every shape."""
     out = _profile(params, tau)
     out *= params.pair_rate / params.coherence_time
     np.sqrt(out, out=out)
@@ -110,11 +184,8 @@ def cross_correlation(params: SourceParams, tau):
 
 
 def g2_si(params: SourceParams, tau):
-    """Signal-idler second-order coherence, 1 + C(tau)^2 / R^2.
-
-    For the box shape this is 1 + 1/(R*dt) inside |tau| <= dt/2 and exactly
-    1 outside.
-    """
+    """Signal-idler second-order coherence, 1 + C(tau)^2 / R^2: on the box,
+    1 + 1/(R*dt) inside |tau| <= dt/2 and exactly 1 outside."""
     out = 1.0 + np.square(cross_correlation(params, tau)) / params.pair_rate**2
     return out if out.ndim else float(out)
 
@@ -142,9 +213,7 @@ def p_ssi(params: SourceParams, t1, t2, ti):
     under t1 <-> t2, invariant under a common time shift, and bounded below
     by the accidental floor R^3.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    ti = np.asarray(ti, dtype=float)
+    t1, t2, ti = (np.asarray(t, dtype=float) for t in (t1, t2, ti))
     r, terms = params.pair_rate, TRIPLE_TERMS[params.statistics]
     c1 = cross_correlation(params, t1 - ti)
     c2 = cross_correlation(params, t2 - ti)
@@ -165,7 +234,6 @@ def p_ssi_diag(params: SourceParams, tau):
     inside |tau| < dt and settles to R^3 * g2_si(0) at large delay; the
     peak never exceeds four times that asymptote.
     """
-    tau = np.asarray(tau, dtype=float)
     return p_ssi(params, 0.0, tau, 0.0)
 
 
@@ -176,22 +244,11 @@ def g2_c(params: SourceParams, t1, t2, ti):
     to 1 when either signal time moves far away regardless of the other
     delay, and is O(R*dt) deep in the conditioned well t1 = t2 = ti.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    ti = np.asarray(ti, dtype=float)
+    t1, t2, ti = (np.asarray(t, dtype=float) for t in (t1, t2, ti))
     r3 = params.pair_rate**3
     denom = r3 * g2_si(params, t1 - ti) * g2_si(params, t2 - ti)
     out = np.asarray(p_ssi(params, t1, t2, ti) / denom)
     return out if out.ndim else float(out)
-
-
-def _far_offset(params: SourceParams, tau: np.ndarray) -> np.ndarray:
-    """Offset large enough to kill every correlation at delays ``tau``."""
-    dt = params.coherence_time
-    far = FAR_FACTOR * dt + 2.0 * np.abs(tau)
-    # every correlation support is within |u| <= dt; keep a wide margin
-    assert np.all(far - np.abs(tau) > 2 * dt)
-    return far
 
 
 def limit_ratios(params: SourceParams, tau):
@@ -204,53 +261,13 @@ def limit_ratios(params: SourceParams, tau):
     * ``thermal_ratio`` = P(t1, t1+tau | ti=-far) / P(t1, far | ti=-far),
       which reduces to ``g2_ss_unconditional(tau)``.
 
-    "far" means offsets of at least 1e3 coherence times, asserted to exceed
-    every correlation support.
+    "far" means offsets of ``FAR_FACTOR`` coherence times beyond |tau|, so
+    every signal-idler and signal-signal lag there exceeds every support.
     """
     tau = np.asarray(tau, dtype=float)
-    far = _far_offset(params, tau)
+    far = FAR_FACTOR * params.coherence_time + 2.0 * np.abs(tau)
     herald = np.asarray(p_ssi(params, tau, far, 0.0)) / p_ssi(params, -far, far, 0.0)
     thermal = np.asarray(p_ssi(params, 0.0, tau, -far)) / p_ssi(params, 0.0, far, -far)
     if tau.ndim:
         return herald, thermal
     return float(herald), float(thermal)
-
-
-# ---------------------------------------------------------------------------
-# Exact antiderivatives used by the area-preserving grid samplers.
-# ---------------------------------------------------------------------------
-
-
-def cross_sq_cumulative(params: SourceParams, tau):
-    """Running integral of C(u)^2 from -inf to tau; totals R at +inf."""
-    tau = np.asarray(tau, dtype=float)
-    r, dt = params.pair_rate, params.coherence_time
-    if params.shape == "box":
-        # density r/dt on [-dt/2, dt/2]
-        out = (r / dt) * (np.clip(tau, -dt / 2, dt / 2) + dt / 2)
-    else:
-        # density (r/dt) * (1 - |u|/dt) on [-dt, dt]
-        u = np.clip(tau, -dt, dt)
-        neg = (r / dt) * np.square(u + dt) / (2 * dt)
-        pos = r / 2 + (r / dt) * (u - np.square(u) / (2 * dt))
-        out = np.where(u <= 0, neg, pos)
-    return out if out.ndim else float(out)
-
-
-def auto_antider2(params: SourceParams, tau, power):
-    """Second antiderivative P(tau) of R(u)^power with P(0) = P'(0) = 0.
-
-    Even, and linear beyond the support.  Mixed second differences of P are
-    exact integrals of R(t1-t2)^power over rectangles, so the diagonal ridge
-    (power 2) and the central triple term (power 1) keep exact integrals.
-    """
-    u = np.abs(np.asarray(tau, dtype=float))
-    s = support(params)
-    v, outer = np.minimum(u, s), np.clip(u - s, 0.0, None)
-    if params.shape == "box":
-        out = np.square(v) / 2 + outer * s
-    else:
-        k1, k2 = power + 1, power + 2
-        out = (s / k1) * (v + (s / k2) * ((1.0 - v / s) ** k2 - 1.0)) + outer * (s / k1)
-    out = params.pair_rate**power * out
-    return out if out.ndim else float(out)

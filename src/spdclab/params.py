@@ -94,9 +94,7 @@ class SourceParams:
             raise ConfigError(f"pair_rate {self.pair_rate} outside [{MIN_PAIR_RATE:g}, "
                               f"{MAX_PAIR_RATE:g}], where R^3 is a normal float")
         if not self.coherence_time > 0:
-            raise ConfigError(
-                f"coherence_time must be > 0, got {self.coherence_time}"
-            )
+            raise ConfigError(f"coherence_time must be > 0, got {self.coherence_time}")
         if self.shape not in SHAPES:
             raise ConfigError(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.statistics not in MODELS:
@@ -136,10 +134,8 @@ class DetectorChain:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.jitter_width < 0:
-            raise ConfigError(
-                f"jitter_width must be >= 0, got {self.jitter_width}"
-            )
+        if not self.jitter_width >= 0:
+            raise ConfigError(f"jitter_width must be >= 0, got {self.jitter_width}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +151,8 @@ class AnalysisWindow:
             raise ConfigError("coincidence_halfwidth must be > 0")
         if not self.bin_width > 0:
             raise ConfigError("bin_width must be > 0")
-        if self.span < self.bin_width:
-            raise ConfigError("span must be at least one bin_width")
+        if not self.span >= self.bin_width:
+            raise ConfigError(f"span must be at least one bin_width, got {self.span}")
 
     def delays(self):
         """Symmetric uniform delay grid covering [-span, span]."""

@@ -143,9 +143,10 @@ def run_smear(scenario: Scenario, outdir, with_surface: bool = False) -> dict[st
     window = scenario.window
     kernel = smearing.build_kernel(window.coincidence_halfwidth,
                                    scenario.chain.jitter_width, window.bin_width)
+    # the surface first: its cell guard trips before the curves are smeared
+    surface = smearing.smear_surface(src, kernel, window.span) if with_surface else None
     g2, gbar = smearing.smear_curves(src, kernel, window.delays())
     pred = smearing.predict_plateaus(src, kernel)
-    surface = smearing.smear_surface(src, kernel, window.span) if with_surface else None
 
     header = _header(scenario)
     out = _write_products(outdir, header, {

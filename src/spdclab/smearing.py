@@ -1,15 +1,13 @@
-"""Detector-response smearing: trapezoid window kernels and convolutions.
+"""Detector-response smearing: window kernels and convolutions.
 
 A software coincidence window of half-width tau_c combined with detector
-timing jitter tau_d acts on ideal correlation functions as a moving average.
-The combined response is modeled as the unit-area trapezoid obtained by
-convolving two normalized boxes of full widths 2*tau_c and 2*tau_d: flat at
-
-    p = 1 / (2 * max(tau_c, tau_d))
-
-over |tau| < |tau_c - tau_d|, with linear transitions reaching zero at
-|tau| = tau_c + tau_d.  The excess of the smeared signal-idler coherence
-plateau is X = p / R, i.e. X = 1/(2 R tau_c) whenever tau_c > tau_d.
+timing jitter tau_d acts on ideal correlation functions as a moving average:
+the unit-area trapezoid box(tau_c) * box(tau_d), flat at p = 1 / (2 max(tau_c,
+tau_d)) over |tau| < |tau_c - tau_d| and zero beyond tau_c + tau_d.  The
+excess of the smeared signal-idler coherence plateau is X = p / R, i.e.
+X = 1/(2 R tau_c) whenever tau_c > tau_d.  The kernel is built, like every
+peak shape of ``model.SHAPE_TABLE``, in ``model``'s one even
+piecewise-polynomial algebra (``_Spline``): no response is written by hand.
 
 Sampling is area-preserving everywhere: kernels and model curves are stored
 as cell averages (differences of exact antiderivatives), so discrete
@@ -51,11 +49,12 @@ class ResponseKernel:
     """Unit-area response of window half-width tau_c and jitter tau_d on a
     symmetric grid of ``grid_step``.  The fields are its only inputs, so
     kernels built alike compare equal and hash alike.  ``samples`` (computed
-    on first use) are cell averages renormalized to unit discrete area, so
-    convolving a constant curve reproduces it exactly.  Every construction
-    raises ``GridError`` unless tau_c > 0, tau_d >= 0 and ``grid_step``
-    resolves the transitions: at most a twentieth of the smaller time scale
-    (of tau_c when tau_d = 0)."""
+    on first use) are the cell averages of box(tau_c) * box(tau_d), or of
+    box(tau_c) at tau_d = 0, formed up to the centre and mirrored, then
+    renormalized to unit discrete area, so convolving a constant curve
+    reproduces it exactly.  Every construction raises ``GridError`` unless
+    tau_c > 0, tau_d >= 0 and ``grid_step`` resolves the transitions: at
+    most a twentieth of the smaller time scale (of tau_c when tau_d = 0)."""
 
     coincidence_halfwidth: float
     jitter: float
@@ -65,16 +64,14 @@ class ResponseKernel:
         tau_c, tau_d, step = self.coincidence_halfwidth, self.jitter, self.grid_step
         if not tau_c > 0:
             raise GridError("coincidence half-width must be > 0")
-        if tau_d < 0:
+        if not tau_d >= 0:
             raise GridError("jitter must be >= 0")
         if not step > 0:
             raise GridError(f"grid_step must be > 0, got {step:g}")
         scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
         if step > scale / 20 * (1 + _STEP_TOL):
-            raise GridError(
-                f"grid_step {step:g} too coarse for response scales "
-                f"(need <= {scale / 20:g})"
-            )
+            raise GridError(f"grid_step {step:g} too coarse for response scales "
+                            f"(need <= {scale / 20:g})")
 
     @property
     def plateau_height(self) -> float:
@@ -83,8 +80,13 @@ class ResponseKernel:
     @cached_property
     def samples(self) -> np.ndarray:
         h = self.grid_step
-        grid = symmetric_grid(np.ceil(self.support_halfwidth / h + 0.5), h)
-        samples = _cell_average(self.cumulative, grid, h)
+        n = np.ceil(self.support_halfwidth / h + 0.5)
+        response = model._Spline.box(self.coincidence_halfwidth)
+        if self.jitter > 0:
+            response = response.conv(model._Spline.box(self.jitter))
+        # the cells up to the centre, mirrored, so none reads F(x) as T - F(-x)
+        half = _cell_average(response.integral(), symmetric_grid(n, h)[: int(n) + 1], h)
+        samples = np.concatenate([half, half[-2::-1]])
         samples /= samples.sum() * h
         return samples
 
@@ -99,21 +101,6 @@ class ResponseKernel:
     def delays(self) -> np.ndarray:
         return symmetric_grid(self.half_len, self.grid_step)
 
-    def cumulative(self, tau):
-        """Analytic integral of the trapezoid from -inf to ``tau``."""
-        tau = np.asarray(tau, dtype=float)
-        a = max(self.coincidence_halfwidth, self.jitter)
-        b = min(self.coincidence_halfwidth, self.jitter)
-        u = np.abs(tau)
-        if b == 0.0:
-            upper = np.clip(0.5 + u / (2 * a), 0.5, 1.0)
-        else:
-            flat = 0.5 + u / (2 * a)
-            ramp = 1.0 - np.square(a + b - u) / (8 * a * b)
-            upper = np.where(u <= a - b, flat, np.where(u <= a + b, ramp, 1.0))
-        out = np.where(tau >= 0, upper, 1.0 - upper)
-        return out if out.ndim else float(out)
-
 
 def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel:
     """The checked ``ResponseKernel(tau_c, tau_d, grid_step)``."""
@@ -127,18 +114,16 @@ def smear_surface(
     on both axes over every kernel grid point within ``max_delay``.
 
     The rate is stored as cell averages on the grid of ``_delay_grid``, the
-    one grid rule of every smeared product: the kernel grid out to
-    ``max_delay`` plus the kernel support plus one step.  It holds the
-    constant R^3, the two signal-idler ridges R C(t)^2 and the signal-signal
-    diagonal R R(t1 - t2)^2 as exact differences of their antiderivatives,
-    the narrow central term C C R from subcell integrals, each times its
-    ``model.TRIPLE_TERMS`` coefficient for ``params.statistics``.  That surface
-    is convolved with the kernel along both axes: the square two-dimensional
-    averaging window (area (2 tau_c)^2 with transition regions 2 tau_d)
-    acting on the triple rate.  Only the valid region is kept, so the grid
-    must exceed the kernel (``GridError`` otherwise, as at ``max_delay`` = 0
-    on the README desk kernel), and a surface beyond ``MAX_SURFACE_CELLS``
-    raises ``GuardError`` before its cells exist.
+    one grid rule of every smeared product.  It holds the constant R^3, the
+    two signal-idler ridges R C(t)^2 and the signal-signal diagonal
+    R R(t1 - t2)^2 as exact differences of their antiderivatives, the narrow
+    central term C C R from subcell integrals, each times its
+    ``model.TRIPLE_TERMS`` coefficient for ``params.statistics``.  That
+    surface is convolved with the kernel along both axes, the square 2D
+    averaging window.  Only the valid region is kept, so the grid must exceed
+    the kernel (``GridError`` otherwise, as at ``max_delay`` = 0 on the
+    README desk kernel), and a surface beyond ``MAX_SURFACE_CELLS`` raises
+    ``GuardError`` before its cells exist.
 
     Each term is smeared on its own: the constant and the ridges with 1D
     convolutions, the diagonal by lag, and only the small central block in
@@ -162,10 +147,7 @@ def _smeared_rows(
 
     Memory is O(n) plus the rows asked for and their central block rows.
     """
-    h = kernel.grid_step
-    k = kernel.samples
-    m = kernel.half_len
-    n = grid.size
+    h, k, m, n = kernel.grid_step, kernel.samples, kernel.half_len, grid.size
     if n <= k.size:
         raise GridError("surface span must exceed the kernel support")
     r, terms = params.pair_rate, model.TRIPLE_TERMS[params.statistics]
@@ -221,12 +203,16 @@ class PlateauPrediction:
 
 
 def predict_plateaus(params: SourceParams, kernel: ResponseKernel) -> PlateauPrediction:
-    """Predict the smeared plateau levels from the kernel height alone.
+    """Predict the smeared plateau levels of the ridges alone from the kernel
+    height: the levels of a Poisson source, whose smeared curves meet them.
 
     X = p/R gives: smeared g2_si plateau 1 + X; triple rate R^3 (1 + 2X) at
     short delays (both averaging ridges contribute) and R^3 (1 + X) at long
     delays (one ridge); conditioned estimate (1 + 2X) / (1 + X)^2 at short
-    delays.
+    delays.  A thermal source's diagonal and central terms lift its curve
+    above them at short delays: on the desk scenario ``gbar2c_short`` is
+    11/36 = 0.30556, the thermal ``gbar2_c`` at 0 0.32897 (box) and 0.33132
+    (triangle).
     """
     x = kernel.plateau_height / params.pair_rate
     r3 = params.pair_rate**3

@@ -82,6 +82,29 @@ def kernel_value(kernel, tau):
     return out if out.ndim else float(out)
 
 
+def exact_kernel_samples(kernel):
+    """``kernel.samples`` in exact rationals: the response's running integral
+    F, with 4 tau_c tau_d F(x) = G(x + a + b) - G(x + a - b) - G(x - a + b)
+    + G(x - a - b), G(y) = max(y, 0)^2 / 2 (the clipped ramp of one box at
+    tau_d = 0), differenced over each cell [t - h/2, t + h/2] of the float
+    grid points t and renormalized to unit area, every step a ``Fraction``."""
+    from fractions import Fraction
+
+    a, b, h = (Fraction(v) for v in (kernel.coincidence_halfwidth, kernel.jitter,
+                                      kernel.grid_step))
+
+    def running(x):
+        if b == 0:
+            return min(max((x + a) / (2 * a), Fraction(0)), Fraction(1))
+        g = lambda y: y * y / 2 if y > 0 else Fraction(0)  # noqa: E731
+        return (g(x + a + b) - g(x + a - b) - g(x - a + b) + g(x - a - b)) / (4 * a * b)
+
+    cells = [running(Fraction(t) + h / 2) - running(Fraction(t) - h / 2)
+             for t in kernel.delays().tolist()]
+    area = sum(cells) * h
+    return [c / area for c in cells]
+
+
 def numeric_smear(curve_delays, curve_values, kernel_values, step):
     """Riemann-sum convolution by explicit per-point summation (valid region)."""
     m = (len(kernel_values) - 1) // 2
@@ -136,19 +159,49 @@ def triple_rate(params, t1, t2, ti):
     return 2.0 * math.sqrt(c1_sq * c2_sq) * r12 + r * (r**2 + r12**2 + c1_sq + c2_sq)
 
 
+def cross_sq_cumulative(params, tau):
+    """Running integral of C(u)^2 from -inf to tau, written out per shape:
+    density R/dt on |u| <= dt/2 (box) or (R/dt)(1 - |u|/dt) on |u| <= dt
+    (triangle); totals R at +inf."""
+    tau = np.asarray(tau, dtype=float)
+    r, dt = params.pair_rate, params.coherence_time
+    if params.shape == "box":
+        return (r / dt) * (np.clip(tau, -dt / 2, dt / 2) + dt / 2)
+    u = np.clip(tau, -dt, dt)
+    neg = (r / dt) * np.square(u + dt) / (2 * dt)
+    pos = r / 2 + (r / dt) * (u - np.square(u) / (2 * dt))
+    return np.where(u <= 0, neg, pos)
+
+
+def auto_antider2(params, tau, power):
+    """Second antiderivative P of R(u)^power with P(0) = P'(0) = 0, written
+    out per shape: even, and linear beyond the support s (dt/2 for the box,
+    dt for the triangle, where R^power = R^power (1 - |u|/s)^power)."""
+    u = np.abs(np.asarray(tau, dtype=float))
+    dt = params.coherence_time
+    s = dt / 2 if params.shape == "box" else dt
+    v, outer = np.minimum(u, s), np.clip(u - s, 0.0, None)
+    if params.shape == "box":
+        out = np.square(v) / 2 + outer * s
+    else:
+        k1, k2 = power + 1, power + 2
+        out = (s / k1) * (v + (s / k2) * ((1.0 - v / s) ** k2 - 1.0)) + outer * (s / k1)
+    return params.pair_rate**power * out
+
+
 def dense_p_ssi(params, grid, step):
     """Thermal triple rate P(t1-ti, t2-ti) as cell averages of width ``step``
     on the full square of ``grid``, one matrix expression over every cell: the
     constant, the two signal-idler ridges and the signal-signal diagonal from
-    their exact antiderivatives, the central term from the library's block."""
-    from spdclab import model, smearing
+    the closed-form antiderivatives above, the central term from the
+    library's block."""
+    from spdclab import smearing
     from spdclab.curves import CorrelationSurface
 
     r = params.pair_rate
-    c2 = smearing._cell_average(
-        lambda t: model.cross_sq_cumulative(params, t), grid, step)
+    c2 = smearing._cell_average(lambda t: cross_sq_cumulative(params, t), grid, step)
     diff = grid[:, None] - grid[None, :]
-    q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
+    q2 = lambda t: auto_antider2(params, t, 2)  # noqa: E731
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
     row0, col0, block = smearing._ccr_block(params, grid, step, np.ones(1),

@@ -711,6 +711,25 @@ def test_count_heralds_without_zero_delay():
                 == getattr(with_zero, field)[[0, 2]].tobytes())
 
 
+def test_surface_guard_trips_before_the_curves(tmp_path, monkeypatch):
+    # the long triangle case: a 2e-5 s span on the 5e-11 s desk bin makes a
+    # surface of 6.4e11 cells, so the guard must trip before any smearing
+    from spdclab import GuardError, smearing
+
+    def curves(*args):
+        raise AssertionError("smear_curves ran before the surface cell guard")
+
+    monkeypatch.setattr(smearing, "smear_curves", curves)
+    text = DESK_CONFIG
+    for key, value in (("source.shape", "triangle"), ("source.coherence_time_s", "5e-6"),
+                       ("source.rate_hz", "1e4"), ("window.span_s", "2e-5"),
+                       ("run.model", "thermal")):
+        text = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+    with pytest.raises(GuardError, match="surface cells"):
+        run_smear(parse_scenario(text), tmp_path / "long", with_surface=True)
+    assert not list(tmp_path.glob("long/*.csv"))
+
+
 @pytest.mark.parametrize("built", ["parsed", "library"])
 def test_header_block_parses_back(tmp_path, built):
     """Every product header of ``analytic``, ``smear --surface`` and

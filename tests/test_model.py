@@ -16,6 +16,7 @@ from spdclab.model import (
     p_ssi_diag,
 )
 
+import _oracles
 from _oracles import triple_rate
 
 
@@ -261,6 +262,58 @@ class TestCumulatives:
             )
 
 
+class TestShapeTable:
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    @pytest.mark.parametrize("dt", [1e-13, 1e-9, 5e-6])
+    def test_antiderivatives_match_closed_forms(self, shape, dt):
+        p = SourceParams(1e4, dt, shape)
+        r, s = p.pair_rate, model.support(p)
+        tau = np.concatenate([np.linspace(-3, 3, 6001), [-1, -0.5, 0.0, 0.5, 1]]) * dt
+        gap = cross_sq_cumulative(p, tau) - _oracles.cross_sq_cumulative(p, tau)
+        assert np.max(np.abs(gap)) <= 1e-14 * r
+        for power in (1, 2):
+            gap = (model.auto_antider2(p, tau, power)
+                   - _oracles.auto_antider2(p, tau, power))
+            assert np.max(np.abs(gap)) <= 1e-14 * r**power * s**2
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_totals_survive_a_tiny_coherence_time(self, shape):
+        # at dt = 1e-300, dt^2 underflows to 0; the table is read in units of
+        # dt, so the running integral of C^2 still totals R, half of it at 0
+        p = SourceParams(2e7, 1e-300, shape)
+        assert cross_sq_cumulative(p, 1e-9) == p.pair_rate
+        assert cross_sq_cumulative(p, 0.0) == p.pair_rate / 2
+
+
+def _quad(f, lo, hi, knots):
+    """Integral of ``f`` from ``lo`` to ``hi``, each knot inside a break point."""
+    if hi < lo:
+        return -_quad(f, hi, lo, knots)
+    inside = sorted({k for k in knots if lo < k < hi})
+    return quad(lambda y: float(f(y)), lo, hi, points=inside or None, limit=200)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+       x=st.floats(-7.0, 7.0))
+def test_spline_conv_and_integral_match_quadrature(widths, x):
+    # box(w0) * box(w1) * ... has order len(widths) - 1; F and P lift it twice
+    f = model._Spline.box(widths[0])
+    for w in widths[1:]:
+        g = f.conv(model._Spline.box(w))
+        # f * box(w) at x is the mean of f over [x - w, x + w]
+        knots = [s for _, s, _ in f.terms]
+        mean = _quad(f, x - w, x + w, knots) / (2 * w)
+        assert float(g(x)) == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        f = g
+    knots = [s for _, s, _ in f.terms]
+    F, lo = f.integral(), -sum(widths)
+    assert float(F(x)) == pytest.approx(_quad(f, min(lo, x), x, knots), rel=1e-9, abs=1e-12)
+    f0 = float(F(0.0))
+    assert float(F.integral()(x)) == pytest.approx(
+        _quad(lambda y: F(y) - f0, 0.0, x, knots), rel=1e-9, abs=1e-12)
+
+
 @pytest.mark.parametrize("shape", ["box", "triangle"])
 @pytest.mark.parametrize("name", model.__all__)
 def test_float_for_scalar_ndarray_for_array(name, shape):
@@ -268,9 +321,10 @@ def test_float_for_scalar_ndarray_for_array(name, shape):
 
     p = SourceParams(2e7, 1e-9, shape)
     f = getattr(model, name)
-    n_times = len(inspect.signature(f).parameters) - 1
-    scalar = f(p, *[2e-10] * n_times)
-    array = f(p, *[np.array([0.0, 2e-10])] * n_times)
+    args = list(inspect.signature(f).parameters)[1:]
+    # every argument is a time but the power of auto_antider2, 1 or 2
+    scalar = f(p, *[1 if a == "power" else 2e-10 for a in args])
+    array = f(p, *[1 if a == "power" else np.array([0.0, 2e-10]) for a in args])
     # limit_ratios returns a pair, every other function one result
     for value in scalar if isinstance(scalar, tuple) else (scalar,):
         assert type(value) is float

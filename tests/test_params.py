@@ -5,7 +5,10 @@ from spdclab import (
     AnalysisWindow,
     ConfigError,
     DetectorChain,
+    GridError,
+    Histogram,
     ModelValidityWarning,
+    ResponseKernel,
     SourceParams,
 )
 from spdclab.params import duration_to_ticks, seconds_to_ticks
@@ -47,6 +50,18 @@ def test_analysis_window_grid():
     assert np.all(np.diff(d) > 0)
     with pytest.raises(ConfigError):
         AnalysisWindow(coincidence_halfwidth=0.0, bin_width=1e-9, span=1e-8)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ResponseKernel(5e-9, np.nan, 5e-11), GridError),
+    (lambda: DetectorChain(jitter_width=np.nan), ConfigError),
+    (lambda: AnalysisWindow(5e-9, 5e-11, np.nan), ConfigError),
+    (lambda: Histogram(np.zeros(3), np.zeros(3, dtype=int), np.nan, 5e-9), ValueError),
+], ids=["kernel_jitter", "chain_jitter", "window_span", "histogram_duration"])
+def test_nan_fails_every_documented_bound(build, error):
+    # each bound is written `not x >= bound`, which a NaN fails
+    with pytest.raises(error):
+        build()
 
 
 def test_seconds_to_ticks_scalar_and_array_agree():

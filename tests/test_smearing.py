@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from spdclab import (
 )
 from spdclab import model, smearing
 
-from _oracles import (at, dense_p_ssi, dense_smear_surface, hexagon_cell_areas,
-                      kernel_value, numeric_smear)
+from _oracles import (at, cross_sq_cumulative, dense_p_ssi, dense_smear_surface,
+                      exact_kernel_samples, hexagon_cell_areas, kernel_value,
+                      numeric_smear)
 
 
 class TestBuildKernel:
@@ -84,11 +86,28 @@ class TestBuildKernel:
             with pytest.raises(GridError, match=re.escape(message)):
                 build(*args)
 
+    @pytest.mark.parametrize("args, bound", [
+        ((5e-9, 1e-9, 5e-11), 2.35e-12),
+        ((5e-9, 0.0, 5e-11), 2.26e-14),
+        ((1e-9, 5e-9, 5e-11), 2.35e-12),
+        ((2e-9, 2e-9, 5e-11), 9.08e-13),
+        ((5e-9, 5e-11, 2.5e-12), 3.26e-11),
+    ], ids=["desk", "no_jitter", "jitter_dominated", "equal_scales", "narrow_jitter"])
+    def test_samples_match_exact_rationals(self, args, bound):
+        # bound: the worst relative error, rounded up, of the hand-written
+        # trapezoid cumulative that the piecewise-polynomial response
+        # replaced; the mirrored cells read 1.2e-14 to 1.5e-12 here
+        k = build_kernel(*args)
+        exact = exact_kernel_samples(k)
+        worst = max(abs(Fraction(v) - e) / e
+                    for v, e in zip(k.samples.tolist(), exact) if e)
+        assert worst <= bound
+
 
 def _raw_g2_si(p, step, half_n):
     """g2_si as cell averages of 1 + C^2/R^2 on arange(-half_n, half_n + 1) * step."""
     grid = np.arange(-half_n, half_n + 1) * step
-    c2 = smearing._cell_average(lambda t: model.cross_sq_cumulative(p, t), grid, step)
+    c2 = smearing._cell_average(lambda t: cross_sq_cumulative(p, t), grid, step)
     return grid, 1.0 + c2 / p.pair_rate**2
 
 
@@ -542,7 +561,7 @@ class TestSamplers:
         step = step_frac * p.coherence_time
         half_n = np.ceil(max(40 * step, 4 * p.coherence_time) / step)
         grid = np.arange(-half_n, half_n + 1) * step
-        c2 = smearing._cell_average(lambda t: model.cross_sq_cumulative(p, t), grid, step)
+        c2 = smearing._cell_average(lambda t: cross_sq_cumulative(p, t), grid, step)
         total = np.sum(c2) * step / p.pair_rate**2
         assert total == pytest.approx(1 / p.pair_rate, rel=1e-12)
 
