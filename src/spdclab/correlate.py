@@ -53,7 +53,7 @@ from .params import (
     MAX_COUNT_DIFFERENCES,
     TICKS_PER_SECOND,
     ConfigError,
-    GridError,
+    delay_array,
     guard,
     seconds_to_ticks,
 )
@@ -249,13 +249,6 @@ def _edge_binned_counts(
     return cumulative[:, at[lows.size:]] - cumulative[:, at[: lows.size]]
 
 
-def _delay_grid(delays) -> np.ndarray:
-    """``delays`` as floats; ``GridError`` for an empty grid."""
-    if np.size(delays) == 0:
-        raise GridError("the delay grid holds no delay")
-    return np.asarray(delays, dtype=float)
-
-
 def _common_duration(*streams: EventStream) -> float:
     durations = {s.duration for s in streams}
     if len(durations) != 1:
@@ -282,7 +275,7 @@ def pair_histogram(
     tauc: float,
 ) -> Histogram:
     """Count pairs with t_a - t_b in the window around every grid delay."""
-    delays = _delay_grid(delays)
+    delays = delay_array(delays)
     lows, highs = _window_bounds(delays, tauc)
     duration = _common_duration(a, b)
     _guard_differences(len(a) * len(b), lows, highs, a.duration)
@@ -324,7 +317,7 @@ def coincidence_histograms(
     signal2 pass bins once for the pairs and for the triples, each
     difference weighted by its idler's occupancy.
     """
-    delays = _delay_grid(delays)
+    delays = delay_array(delays)
     # the signal1 gate is the window at delay 0, appended as the last one
     lows, highs = _window_bounds(np.append(delays, 0.0), tauc)
     duration = _common_duration(i, s1, s2)

@@ -8,23 +8,11 @@ import numpy as np
 
 from .params import GridError
 
-_REL_STEP_TOL = 1e-9
-
-
-def _check_uniform(delays: np.ndarray) -> None:
-    if delays.ndim != 1 or delays.size < 2:
-        raise GridError("grid needs at least two points")
-    steps = np.diff(delays)
-    if np.any(steps <= 0):
-        raise GridError("grid must be strictly increasing")
-    step = float(steps[0])
-    if np.any(np.abs(steps - step) > _REL_STEP_TOL * max(step, 1e-300)):
-        raise GridError("grid must be uniform")
-
 
 @dataclass
 class CorrelationCurve:
-    """A sampled one-dimensional delay curve on a uniform grid."""
+    """A sampled one-dimensional delay curve: ``values[i]`` at ``delays[i]``,
+    the delays in any number and order."""
 
     delays: np.ndarray
     values: np.ndarray
@@ -34,14 +22,13 @@ class CorrelationCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.delays.shape:
             raise GridError("values and delays must have matching shapes")
-        _check_uniform(self.delays)
         if not np.all(np.isfinite(self.values)):
             raise GridError("curve values must be finite")
 
 
 @dataclass
 class CorrelationSurface:
-    """A sampled two-dimensional correlation surface on a square uniform grid.
+    """A sampled two-dimensional correlation surface on a square grid.
 
     Both detection delays t1 and t2, relative to the conditioning event, run
     over the one ``axis``; ``values[i, j]`` is the surface at
@@ -54,7 +41,6 @@ class CorrelationSurface:
     def __post_init__(self) -> None:
         self.axis = np.asarray(self.axis, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        _check_uniform(self.axis)
         if self.values.shape != (self.axis.size,) * 2:
             raise GridError("values shape must be (len(axis), len(axis))")
 

@@ -166,6 +166,13 @@ def guard(what: str, amount: float, limit: float) -> None:
         raise GuardError(f"{what} would be {amount:.3g}, guard is {limit:.3g}")
 
 
+def delay_array(delays) -> np.ndarray:
+    """``delays`` as floats; ``GridError`` for an empty delay set."""
+    if np.size(delays) == 0:
+        raise GridError("the delay grid holds no delay")
+    return np.asarray(delays, dtype=float)
+
+
 def symmetric_grid(n: float, step: float) -> np.ndarray:
     """The grid ``arange(-n, n + 1) * step`` of a whole number ``n``.
 

@@ -12,8 +12,10 @@ piecewise-polynomial algebra (``_Spline``): no response is written by hand.
 Sampling is area-preserving everywhere: kernels and model curves are stored
 as cell averages (differences of exact antiderivatives), so discrete
 convolution conserves peak integrals exactly even when a correlation peak is
-much narrower than the grid step.  C(t)^2 is smeared once, in
-``_smeared_rows``: the ridges of ``smear_surface`` and both curves of
+much narrower than the grid step.  They are sampled on the kernel's
+``sample_step``, its ``grid_step`` cut finely enough to resolve the kernel,
+so a product's delays may lie on any coarser grid.  C(t)^2 is smeared once,
+in ``_smeared_rows``: the ridges of ``smear_surface`` and both curves of
 ``smear_curves`` (the smeared g2_si, and the conditioned coherence that
 divides by it) read it, so they agree bit for bit; and both functions sample
 on one grid rule (``_delay_grid``).
@@ -29,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import model
 from .curves import CorrelationCurve, CorrelationSurface
 from .params import (MAX_CONVOLVE_WORK, MAX_SURFACE_CELLS, GridError, SourceParams,
-                     guard, symmetric_grid)
+                     delay_array, guard, symmetric_grid)
 
 __all__ = [
     "ResponseKernel",
@@ -46,15 +48,17 @@ _STEP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Unit-area response of window half-width tau_c and jitter tau_d on a
-    symmetric grid of ``grid_step``.  The fields are its only inputs, so
-    kernels built alike compare equal and hash alike.  ``samples`` (computed
-    on first use) are the cell averages of box(tau_c) * box(tau_d), or of
-    box(tau_c) at tau_d = 0, formed up to the centre and mirrored, then
-    renormalized to unit discrete area, so convolving a constant curve
-    reproduces it exactly.  Every construction raises ``GridError`` unless
-    tau_c > 0, tau_d >= 0 and ``grid_step`` resolves the transitions: at
-    most a twentieth of the smaller time scale (of tau_c when tau_d = 0)."""
+    """Unit-area response of window half-width tau_c and jitter tau_d for
+    products on a grid of ``grid_step``.  The fields are its only inputs, so
+    kernels built alike compare equal and hash alike.  ``sample_step`` is
+    ``grid_step`` cut into the fewest equal parts that resolve the
+    transitions, each at most a twentieth of the smaller time scale (of tau_c
+    when tau_d = 0); ``samples`` (computed on first use) are the cell
+    averages on that step of box(tau_c) * box(tau_d), or of box(tau_c) at
+    tau_d = 0, formed up to the centre and mirrored, then renormalized to
+    unit discrete area, so convolving a constant curve reproduces it exactly.
+    Every construction raises ``GridError`` unless tau_c > 0, tau_d >= 0
+    and ``grid_step`` > 0."""
 
     coincidence_halfwidth: float
     jitter: float
@@ -68,24 +72,27 @@ class ResponseKernel:
             raise GridError("jitter must be >= 0")
         if not step > 0:
             raise GridError(f"grid_step must be > 0, got {step:g}")
-        scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
-        if step > scale / 20 * (1 + _STEP_TOL):
-            raise GridError(f"grid_step {step:g} too coarse for response scales "
-                            f"(need <= {scale / 20:g})")
 
     @property
     def plateau_height(self) -> float:
         return 1.0 / (2.0 * max(self.coincidence_halfwidth, self.jitter))
 
+    @property
+    def sample_step(self) -> float:
+        tau_c, tau_d, step = self.coincidence_halfwidth, self.jitter, self.grid_step
+        scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
+        return step / np.ceil(20 * step / scale / (1 + _STEP_TOL))
+
     @cached_property
     def samples(self) -> np.ndarray:
-        h = self.grid_step
+        h = self.sample_step
         n = np.ceil(self.support_halfwidth / h + 0.5)
+        grid = symmetric_grid(n, h)[: int(n) + 1]  # its guard before any other work
         response = model._Spline.box(self.coincidence_halfwidth)
         if self.jitter > 0:
             response = response.conv(model._Spline.box(self.jitter))
         # the cells up to the centre, mirrored, so none reads F(x) as T - F(-x)
-        half = _cell_average(response.integral(), symmetric_grid(n, h)[: int(n) + 1], h)
+        half = _cell_average(response.integral(), grid, h)
         samples = np.concatenate([half, half[-2::-1]])
         samples /= samples.sum() * h
         return samples
@@ -99,7 +106,7 @@ class ResponseKernel:
         return (self.samples.size - 1) // 2
 
     def delays(self) -> np.ndarray:
-        return symmetric_grid(self.half_len, self.grid_step)
+        return symmetric_grid(self.half_len, self.sample_step)
 
 
 def build_kernel(tau_c: float, tau_d: float, grid_step: float) -> ResponseKernel:
@@ -111,7 +118,8 @@ def smear_surface(
     params: SourceParams, kernel: ResponseKernel, max_delay: float
 ) -> CorrelationSurface:
     """Triple-coincidence rate P(t1-ti, t2-ti) smeared by the square window,
-    on both axes over every kernel grid point within ``max_delay``.
+    on both axes over every point of the kernel's ``grid_step`` lattice
+    within ``max_delay``.
 
     The rate is stored as cell averages on the grid of ``_delay_grid``, the
     one grid rule of every smeared product.  It holds the constant R^3, the
@@ -120,10 +128,11 @@ def smear_surface(
     central term C C R from subcell integrals, each times its
     ``model.TRIPLE_TERMS`` coefficient for ``params.statistics``.  That
     surface is convolved with the kernel along both axes, the square 2D
-    averaging window.  Only the valid region is kept, so the grid must exceed
-    the kernel (``GridError`` otherwise, as at ``max_delay`` = 0 on the
-    README desk kernel), and a surface beyond ``MAX_SURFACE_CELLS`` raises
-    ``GuardError`` before its cells exist.
+    averaging window, and the valid region is kept at every j-th row and
+    column about 0, j the sample steps per ``grid_step``.  The axis is
+    ``symmetric_grid`` of ``grid_step``: for a span of whole steps, the
+    ``window.delays()`` of that step and span bit for bit.  A sampled surface
+    beyond ``MAX_SURFACE_CELLS`` raises ``GuardError`` before its cells exist.
 
     Each term is smeared on its own: the constant and the ridges with 1D
     convolutions, the diagonal by lag, and only the small central block in
@@ -135,7 +144,10 @@ def smear_surface(
     n = grid.size
     guard("surface cells", n * n, MAX_SURFACE_CELLS)
     values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
-    return CorrelationSurface(grid[m : n - m], values)
+    j, half = round(kernel.grid_step / kernel.sample_step), (n - 1) // 2 - m
+    keep = slice(half % j, None, j)
+    axis = symmetric_grid(half // j, kernel.grid_step)
+    return CorrelationSurface(axis, values[keep, keep])
 
 
 def _smeared_rows(
@@ -147,9 +159,7 @@ def _smeared_rows(
 
     Memory is O(n) plus the rows asked for and their central block rows.
     """
-    h, k, m, n = kernel.grid_step, kernel.samples, kernel.half_len, grid.size
-    if n <= k.size:
-        raise GridError("surface span must exceed the kernel support")
+    h, k, m, n = kernel.sample_step, kernel.samples, kernel.half_len, grid.size
     r, terms = params.pair_rate, model.TRIPLE_TERMS[params.statistics]
     s = k.sum() * h
     n_out = n - 2 * m
@@ -231,11 +241,11 @@ def predict_plateaus(params: SourceParams, kernel: ResponseKernel) -> PlateauPre
 
 
 def _delay_grid(kernel: ResponseKernel, delays) -> np.ndarray:
-    """The kernel grid over max |delay| + the kernel support + one step, from
-    which the valid convolution still covers every delay (``delays`` an
-    array or one delay)."""
-    max_tau = float(np.max(np.abs(delays))) if np.size(delays) else 0.0
-    h = kernel.grid_step
+    """The kernel's sample grid over max |delay| + the kernel support + one
+    step, from which the valid convolution still covers every delay
+    (``delays`` a non-empty array or one delay)."""
+    max_tau = float(np.max(np.abs(delays)))
+    h = kernel.sample_step
     return symmetric_grid(np.ceil((max_tau + kernel.support_halfwidth + h) / h), h)
 
 
@@ -326,16 +336,17 @@ def smear_curves(
     t1 = 0 row of the smeared triple rate, built by the code that builds
     ``smear_surface``, over R^3 and that g2_si at 0 and at tau (from the same
     ridge); it runs from (1+2X)/(1+X)^2 at short delays to 1 beyond twice
-    the window support.  Each delay must be a point of the kernel grid
-    (``GridError`` otherwise); no n^2 array is formed.
+    the window support.  ``delays`` may come in any number and order, each
+    a point of the kernel's sample grid (``GridError`` otherwise, as for an
+    empty set); no n^2 array is formed.
     """
-    delays = np.asarray(delays, dtype=float)
+    delays = delay_array(delays)
     m = kernel.half_len
     grid = _delay_grid(kernel, delays)
     i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
     row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
     idx = _grid_index(grid[m : grid.size - m], delays)
-    g2 = kernel.samples.sum() * kernel.grid_step + c2_sm / params.pair_rate**2
+    g2 = kernel.samples.sum() * kernel.sample_step + c2_sm / params.pair_rate**2
     gbar = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
     return CorrelationCurve(delays, g2[idx]), CorrelationCurve(delays, gbar)
 

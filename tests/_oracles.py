@@ -91,7 +91,7 @@ def exact_kernel_samples(kernel):
     from fractions import Fraction
 
     a, b, h = (Fraction(v) for v in (kernel.coincidence_halfwidth, kernel.jitter,
-                                      kernel.grid_step))
+                                      kernel.sample_step))
 
     def running(x):
         if b == 0:
@@ -234,9 +234,9 @@ def dense_smear_surface(surface, kernel):
     from spdclab import CorrelationSurface, GridError
 
     step = surface.axis[1] - surface.axis[0]
-    if abs(step - kernel.grid_step) > 1e-9 * kernel.grid_step:
+    if abs(step - kernel.sample_step) > 1e-9 * kernel.sample_step:
         raise GridError(f"grid step {step:g} differs from the kernel "
-                        f"grid {kernel.grid_step:g}")
+                        f"grid {kernel.sample_step:g}")
     k = kernel.samples
     m = kernel.half_len
     n = surface.axis.size

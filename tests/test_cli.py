@@ -39,6 +39,7 @@ from spdclab.runner import (
     write_surface_csv,
 )
 from spdclab.scenario import KEYS
+from spdclab.smearing import _grid_index
 
 from _oracles import raw_evt, table_csv_body
 
@@ -159,6 +160,30 @@ class TestCliCommands:
         assert v[np.argmin(np.abs(d))] == pytest.approx(6.0, rel=1e-9)
         plateaus = (out / "plateaus.csv").read_text()
         assert "X,5.0" in plateaus
+
+    def test_smear_on_the_count_grid(self, tmp_path):
+        # smear at window.bin_s = 1 ns, the count grid of CI's wide span:
+        # the kernel samples on 50 ps, each curve holds the 41 delays of the
+        # window grid with the 50 ps run's values, matched by the grid-point
+        # rule, and the surface's axis is the window grid bit for bit
+        coarse, fine = (tmp_path / f"{name}.ini" for name in ("coarse", "fine"))
+        coarse.write_text(DESK_CONFIG.replace("= 5e-11", "= 1e-9"))
+        fine.write_text(DESK_CONFIG)
+        assert main(["smear", str(coarse), "-o", str(tmp_path / "coarse"), "--surface"]) == 0
+        assert main(["smear", str(fine), "-o", str(tmp_path / "fine")]) == 0
+        delays = parse_scenario(coarse.read_text()).window.delays()
+        for name in ("g2_si_smeared", "gbar2_c_analytic"):
+            d, v, _ = read_curve_csv(tmp_path / "coarse" / f"{name}.csv")
+            df, vf, _ = read_curve_csv(tmp_path / "fine" / f"{name}.csv")
+            assert d.tobytes() == delays.tobytes()
+            assert v.tobytes() == vf[_grid_index(df, d)].tobytes()
+        rows = [ln.split(",") for ln in
+                (tmp_path / "coarse" / "p_ssi_smeared.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 41 * 41
+        t1, t2 = (np.array([float(row[k]) for row in rows]).reshape(41, 41)
+                  for k in (0, 1))
+        assert t1[:, 0].tobytes() == t2[0].tobytes() == delays.tobytes()
 
     def test_simulate_count_round_trip(self, config_path, tmp_path):
         sim = tmp_path / "sim"
@@ -538,8 +563,10 @@ class TestCliCommands:
                 assert main(["compare", str(pa), str(pb), "-o", str(out)]) == 0
 
     @pytest.mark.parametrize("name, message", [
-        ("singles.csv", "line "),
-        ("plateaus.csv", "line "),
+        # a table of labels is refused on its column line
+        ("singles.csv",
+         "line 16: 'channel,rate_per_s,stderr_per_s' is not a row of numbers"),
+        ("plateaus.csv", "line 16: 'quantity,value' is not a row of numbers"),
         ("not_a_number.csv", "line 2: "),
         ("short_row.csv", "line 4: "),
         ("empty.csv", "no data rows"),

@@ -1,10 +1,14 @@
+import functools
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdclab import (
+    AnalysisWindow,
     GridError,
     GuardError,
     ResponseKernel,
@@ -63,12 +67,19 @@ class TestBuildKernel:
         assert a != build_kernel(5e-9, 1e-9, 2.5e-11)
         assert len({a, b, build_kernel(5e-9, 0.0, 5e-11)}) == 2
 
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(GridError):
-            build_kernel(1.5e-9, 0.35e-9, 0.35e-9 / 10)
-        with pytest.raises(GridError):
-            build_kernel(1.5e-9, 0.0, 1e-10)
-        build_kernel(1.5e-9, 0.0, 7.5e-11)  # exactly tau_c / 20 is fine
+    def test_coarse_grid_cut_into_sample_steps(self):
+        # grid_step in the fewest equal parts no coarser than a twentieth of
+        # the smaller time scale, of tau_c at tau_d = 0
+        for args, parts in (((1.5e-9, 0.35e-9, 0.35e-9 / 10), 2),
+                            ((1.5e-9, 0.0, 1e-10), 2),
+                            ((1.5e-9, 0.0, 7.5e-11), 1),  # exactly tau_c / 20
+                            ((5e-9, 1e-9, 1e-9), 20),
+                            ((5e-9, 1e-9, 1e-6), 20_000)):
+            k = build_kernel(*args)
+            assert k.sample_step == k.grid_step / parts
+        # the desk kernel on the 1 ns count grid samples on the desk step
+        assert build_kernel(5e-9, 1e-9, 1e-9).samples.tobytes() == (
+            build_kernel(5e-9, 1e-9, 5e-11).samples.tobytes())
         for step in (-5e-11, 0.0, np.nan):
             with pytest.raises(GridError, match="grid_step"):
                 build_kernel(1.5e-9, 0.35e-9, step)
@@ -77,9 +88,7 @@ class TestBuildKernel:
         ((0.0, 1e-9, 5e-11), "coincidence half-width must be > 0"),
         ((5e-9, -1e-9, 5e-11), "jitter must be >= 0"),
         ((5e-9, 1e-9, 0.0), "grid_step must be > 0, got 0"),
-        ((5e-9, 1e-9, 1e-8), "grid_step 1e-08 too coarse for response scales "
-                             "(need <= 5e-11)"),
-    ], ids=["no_window", "negative_jitter", "zero_step", "coarse_step"])
+    ], ids=["no_window", "negative_jitter", "zero_step"])
     def test_every_kernel_checked(self, args, message):
         # however a kernel is built, the same inputs are refused alike
         for build in (build_kernel, ResponseKernel):
@@ -102,6 +111,14 @@ class TestBuildKernel:
         worst = max(abs(Fraction(v) - e) / e
                     for v, e in zip(k.samples.tolist(), exact) if e)
         assert worst <= bound
+
+
+@functools.cache
+def _desk_curves(shape, statistics):
+    """``smear_curves`` of the desk kernel on the whole desk delay grid."""
+    return smear_curves(SourceParams(2e7, 1e-9, shape, statistics),
+                        build_kernel(5e-9, 1e-9, 5e-11),
+                        AnalysisWindow(5e-9, 5e-11, 2e-8).delays())
 
 
 def _raw_g2_si(p, step, half_n):
@@ -179,6 +196,48 @@ class TestSmearCurve:
         k = build_kernel(5e-9, 1e-9, 5e-11)
         with pytest.raises(GridError, match="not a point of the grid"):
             smear_curves(p, k, np.array([0.0, 1.23e-11]))
+
+    @pytest.mark.parametrize("smear", [smear_curves, gbar2c_analytic])
+    def test_empty_delay_set_refused(self, smear):
+        # the refusal of the counter's empty grid, from the same helper
+        p = SourceParams(2e7, 1e-9)
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        for delays in ([], np.array([])):
+            with pytest.raises(GridError, match="the delay grid holds no delay"):
+                smear(p, k, delays)
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    def test_coarse_grid_reads_the_fine_curves(self, shape):
+        # the desk kernel on the 1 ns count grid: each curve's 41 values are
+        # the 50 ps run's at the same delays, matched by the grid-point rule
+        # (k * 1e-9 and 20k * 5e-11 differ in the last bit at some delays)
+        p = SourceParams(2e7, 1e-9, shape, "thermal")
+        coarse = AnalysisWindow(5e-9, 1e-9, 2e-8).delays()
+        fine = AnalysisWindow(5e-9, 5e-11, 2e-8).delays()
+        got = smear_curves(p, build_kernel(5e-9, 1e-9, 1e-9), coarse)
+        ref = smear_curves(p, build_kernel(5e-9, 1e-9, 5e-11), fine)
+        i = smearing._grid_index(fine, coarse)
+        for g, r in zip(got, ref):
+            assert g.delays.tobytes() == coarse.tobytes()
+            assert g.values.tobytes() == r.values[i].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.integers(0, 800), min_size=1, max_size=12, unique=True),
+           shape=st.sampled_from(["box", "triangle"]),
+           statistics=st.sampled_from(["thermal", "poisson"]))
+    @example(picks=[400], shape="box", statistics="thermal")  # delay 0 alone
+    @example(picks=[400, 402, 500], shape="box", statistics="thermal")
+    def test_any_delay_set_reads_the_full_grid(self, picks, shape, statistics):
+        # one delay, a non-uniform set or an unsorted one: each value is the
+        # full desk grid's at that delay, bit for bit
+        p = SourceParams(2e7, 1e-9, shape, statistics)
+        k = build_kernel(5e-9, 1e-9, 5e-11)
+        full = AnalysisWindow(5e-9, 5e-11, 2e-8).delays()
+        ref = _desk_curves(shape, statistics)
+        got = smear_curves(p, k, full[picks])
+        for g, r in zip(got, ref):
+            assert g.delays.tobytes() == full[picks].tobytes()
+            assert g.values.tobytes() == r.values[picks].tobytes()
 
     def test_rejects_finer_curve(self):
         # smear_surface samples on the kernel grid itself; the dense oracle
@@ -399,11 +458,28 @@ class TestSmearSurface:
         ref = np.array([[cell(a, b) for b in cols] for a in rows])
         assert np.max(np.abs(block - ref)) <= 1e-4 * np.max(ref)
 
-    def test_rejects_span_within_kernel_support(self):
+    def test_surface_within_kernel_support(self):
+        # at max_delay = 0 the sample grid is the kernel's 243 points and
+        # the surface its one valid cell, the wider surface's centre
         p = SourceParams(2e7, 1e-9)
         k = build_kernel(5e-9, 1e-9, 5e-11)  # 243 samples
-        with pytest.raises(GridError, match="kernel support"):
-            smear_surface(p, k, 0.0)  # 243 grid points
+        sm = smear_surface(p, k, 0.0)
+        assert sm.axis.tolist() == [0.0]
+        assert sm.values[0, 0] == at(smear_surface(p, k, 1e-9), 0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    @pytest.mark.parametrize("statistics", ["thermal", "poisson"])
+    def test_coarse_grid_keeps_the_fine_surface(self, shape, statistics):
+        # the desk kernel on a 1 ns grid samples on 50 ps and keeps every
+        # twentieth row and column: the 1 ns window grid bit for bit, and the
+        # 50 ps surface's values at those delays bit for bit
+        p = SourceParams(2e7, 1e-9, shape, statistics)
+        coarse = smear_surface(p, build_kernel(5e-9, 1e-9, 1e-9), 2e-8)
+        fine = smear_surface(p, build_kernel(5e-9, 1e-9, 5e-11), 2e-8)
+        assert coarse.axis.tobytes() == (
+            AnalysisWindow(5e-9, 1e-9, 2e-8).delays().tobytes())
+        i = smearing._grid_index(fine.axis, coarse.axis)
+        assert coarse.values.tobytes() == fine.values[np.ix_(i, i)].tobytes()
 
     @pytest.mark.parametrize("shape, tauc, taud, step, half_span", [
         ("box", 5e-9, 1e-9, 5e-11, 2.605e-8),  # README desk: 1043^2 cells
