@@ -21,7 +21,7 @@ import sys
 
 from . import runner
 from .params import ConfigError, GuardError, SpdcLabError
-from .scenario import KEYS, load_scenario, parse_scenario
+from .scenario import KEYS, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,8 +90,6 @@ def _thread_limit() -> int:
 def _run_sweep(args) -> int:
     if args.key not in KEYS:
         raise ConfigError(f"--key must be one of {', '.join(KEYS)}, got {args.key!r}")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -101,7 +99,7 @@ def _run_sweep(args) -> int:
         raise ConfigError(f"--values repeats {repeated[0]!r}")
     workers = min(_thread_limit(), len(values), os.cpu_count() or 1)
     # every value's scenario is checked before the first value runs
-    jobs = [(parse_scenario(text, {args.key: v}),
+    jobs = [(load_scenario(args.config, {args.key: v}),
              os.path.join(args.outdir, f"{args.key.replace('.', '_')}={v}"),
              args.product) for v in values]
     if workers > 1:

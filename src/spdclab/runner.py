@@ -90,21 +90,25 @@ def read_curve_csv(path):
 
     A row without a stderr field reads it as NaN and a blank line is
     skipped.  A row of fewer than two fields, or a field that is not a
-    number, raises ``SpdcLabError`` naming the file and line.
+    number, raises ``SpdcLabError`` naming the file and line; a file that
+    is not UTF-8 raises it naming the file.
     """
     delays, values, stderr = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or line.startswith("delay_s") or not line.strip():
-                continue
-            try:  # fewer than two fields fails the unpacking
-                delay, value, *err = (float(f) for f in line.strip().split(",")[:3])
-            except ValueError:
-                raise SpdcLabError(f"{os.fspath(path)}: line {lineno}: "
-                                   f"{line.strip()!r} is not a row of numbers") from None
-            delays.append(delay)
-            values.append(value)
-            stderr.append(err[0] if err else np.nan)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.startswith("#") or line.startswith("delay_s") or not line.strip():
+                    continue
+                try:  # fewer than two fields fails the unpacking
+                    delay, value, *err = (float(f) for f in line.strip().split(",")[:3])
+                except ValueError:
+                    raise SpdcLabError(f"{os.fspath(path)}: line {lineno}: "
+                                       f"{line.strip()!r} is not a row of numbers") from None
+                delays.append(delay)
+                values.append(value)
+                stderr.append(err[0] if err else np.nan)
+        except UnicodeDecodeError as exc:
+            raise SpdcLabError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
     return np.array(delays), np.array(values), np.array(stderr)
 
 

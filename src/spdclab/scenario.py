@@ -24,6 +24,7 @@ and the header block of every product all read it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .params import (
@@ -131,6 +132,12 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
                     AnalysisWindow(**parts["window"]), **parts["run"])
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, overrides: dict[str, str] | None = None) -> Scenario:
+    """``parse_scenario`` of a UTF-8 file; ``ConfigError`` naming the file
+    when its bytes are not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{os.fspath(path)}: not UTF-8 text ({exc.reason})") from None
+    return parse_scenario(text, overrides)

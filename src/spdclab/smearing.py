@@ -18,7 +18,8 @@ so a product's delays may lie on any coarser grid.  C(t)^2 is smeared once,
 in ``_smeared_rows``: the ridges of ``smear_surface`` and both curves of
 ``smear_curves`` (the smeared g2_si, and the conditioned coherence that
 divides by it) read it, so they agree bit for bit; and both functions sample
-on one grid rule (``_delay_grid``).
+on one grid rule (``_delay_grid``).  Each asks ``_smeared_rows`` for only
+the cells it writes.
 """
 from __future__ import annotations
 
@@ -81,12 +82,13 @@ class ResponseKernel:
     def sample_step(self) -> float:
         tau_c, tau_d, step = self.coincidence_halfwidth, self.jitter, self.grid_step
         scale = min(tau_c, tau_d) if tau_d > 0 else tau_c
-        return step / np.ceil(20 * step / scale / (1 + _STEP_TOL))
+        return step / float(np.ceil(20 * step / scale / (1 + _STEP_TOL)))
 
     @cached_property
     def samples(self) -> np.ndarray:
         h = self.sample_step
-        n = np.ceil(self.support_halfwidth / h + 0.5)
+        # inf, with no numpy warning, for a step of 0 or one the quotient overflows
+        n = np.ceil(self.support_halfwidth / h + 0.5) if h > 0 else np.inf
         grid = symmetric_grid(n, h)[: int(n) + 1]  # its guard before any other work
         response = model._Spline.box(self.coincidence_halfwidth)
         if self.jitter > 0:
@@ -128,36 +130,37 @@ def smear_surface(
     central term C C R from subcell integrals, each times its
     ``model.TRIPLE_TERMS`` coefficient for ``params.statistics``.  That
     surface is convolved with the kernel along both axes, the square 2D
-    averaging window, and the valid region is kept at every j-th row and
-    column about 0, j the sample steps per ``grid_step``.  The axis is
-    ``symmetric_grid`` of ``grid_step``: for a span of whole steps, the
-    ``window.delays()`` of that step and span bit for bit.  A sampled surface
-    beyond ``MAX_SURFACE_CELLS`` raises ``GuardError`` before its cells exist.
+    averaging window, and evaluated only on the ``grid_step`` lattice: every
+    j-th row and column of the valid region about 0, j the sample steps per
+    ``grid_step``.  The axis is ``symmetric_grid`` of ``grid_step``: for a
+    span of whole steps, the ``window.delays()`` of that step and span bit
+    for bit.  A surface of more than ``MAX_SURFACE_CELLS`` written cells
+    raises ``GuardError`` before any of them exists.
 
     Each term is smeared on its own: the constant and the ridges with 1D
     convolutions, the diagonal by lag, and only the small central block in
     2D.  Outside the reach of the ridges and the diagonal every cell is the
     constant R^3 (sum k h)^2, bit for bit.
     """
-    m = kernel.half_len
+    m = kernel.half_len  # the kernel's own grid guard first
     grid = _delay_grid(kernel, max_delay)
-    n = grid.size
-    guard("surface cells", n * n, MAX_SURFACE_CELLS)
-    values = _smeared_rows(params, kernel, grid, slice(0, n - 2 * m))[0]
-    j, half = round(kernel.grid_step / kernel.sample_step), (n - 1) // 2 - m
+    j, half = round(kernel.grid_step / kernel.sample_step), (grid.size - 1) // 2 - m
+    guard("surface cells", (2 * (half // j) + 1) ** 2, MAX_SURFACE_CELLS)
     keep = slice(half % j, None, j)
     axis = symmetric_grid(half // j, kernel.grid_step)
-    return CorrelationSurface(axis, values[keep, keep])
+    return CorrelationSurface(axis, _smeared_rows(params, kernel, grid, keep, keep)[0])
 
 
 def _smeared_rows(
-    params: SourceParams, kernel: ResponseKernel, grid: np.ndarray, rows: slice
+    params: SourceParams, kernel: ResponseKernel, grid: np.ndarray, rows: slice,
+    cols: slice | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Output rows ``rows`` (t1 on the valid region of ``grid``, all t2) of
-    the smeared triple rate, and the cell averages of C(t)^2 on ``grid``
-    smeared once by the kernel, on the valid region.
+    """The cells ``rows`` x ``cols`` (t1 and t2, ascending slices or an index
+    array for ``cols``, on the valid region of ``grid``) of the smeared
+    triple rate, and the cell averages of C(t)^2 on ``grid`` smeared once by
+    the kernel, on the valid region.
 
-    Memory is O(n) plus the rows asked for and their central block rows.
+    Memory is O(n) plus the cells asked for and their central block rows.
     """
     h, k, m, n = kernel.sample_step, kernel.samples, kernel.half_len, grid.size
     r, terms = params.pair_rate, model.TRIPLE_TERMS[params.statistics]
@@ -168,26 +171,26 @@ def _smeared_rows(
     c2 = _cell_average(lambda t: model.cross_sq_cumulative(params, t), grid, h)
     c2_sm = _convolve(c2, k, "valid") * h
     ridge = terms["ridges"] * r * s * c2_sm
-    values = np.add.outer(terms["constant"] * r**3 * s**2 + ridge[rows], ridge)
+    values = np.add.outer(terms["constant"] * r**3 * s**2 + ridge[rows], ridge[cols])
 
     # diagonal R R(t1 - t2)^2: cell averages by lag, which are exactly zero
     # where the second antiderivative is linear, smeared by the kernel's
-    # autocorrelation; row i, column j of the result reads lag i - j
+    # autocorrelation; row i, column j of the (view) result reads lag i - j
     lags = np.arange(1 - n, n) * h
     q2 = lambda t: model.auto_antider2(params, t, 2)  # noqa: E731
     a = (q2(lags + h) - 2.0 * q2(lags) + q2(lags - h)) / h**2
     a[np.abs(lags) >= model.support(params) + h] = 0.0
     g = terms["diagonal"] * r * _convolve(a, _convolve(k, k) * h**2, "valid")
-    values += sliding_window_view(g[::-1], n_out)[::-1][rows]
+    values += sliding_window_view(g[::-1], n_out)[::-1][rows, cols]
 
     # central term: its block rows weighted by the kernel along t1 onto the
     # rows asked for, then convolved in full along t2; full column v lands on
     # output column v + col0 - 2m
-    row0, col0, block = _ccr_block(params, grid, h, k, rows)
+    top, col0, block = _ccr_block(params, grid, h, k, np.arange(n_out)[rows])
     centre = _convolve(block, k) * h**2
-    at, top = col0 - 2 * m, row0 - rows.start
-    first, last = max(0, -at), min(centre.shape[1], n_out - at)
-    values[top : top + len(centre), at + first : at + last] += centre[:, first:last]
+    v = np.arange(n_out)[cols] - col0 + 2 * m
+    inside = (v >= 0) & (v < centre.shape[1])
+    values[top : top + len(centre), inside] += centre[:, v[inside]]
     return values, c2_sm
 
 
@@ -272,11 +275,11 @@ def _cell_average(cumulative, grid: np.ndarray, step: float) -> np.ndarray:
 
 
 def _ccr_block(
-    params: SourceParams, grid: np.ndarray, step: float, k: np.ndarray, rows: slice
+    params: SourceParams, grid: np.ndarray, step: float, k: np.ndarray, rows: np.ndarray
 ) -> tuple[int, int, np.ndarray]:
     """Cell averages of the genuine triple term C(a) C(b) R(a-b) times its
     ``model.TRIPLE_TERMS`` coefficient (2 thermal, 0 Poisson), weighted by
-    the kernel samples ``k`` along a onto the output rows ``rows``.
+    the kernel samples ``k`` along a onto the ascending output rows ``rows``.
 
     The term lives on |a|, |b| <= s, s the peak support, so only the cells
     touching that square form the block.  Each cell is clipped to the support
@@ -284,19 +287,23 @@ def _ccr_block(
     their centres and R(a-b) is integrated exactly over each pair of subcells
     by mixed second differences of its second antiderivative, summed by parts
     over the steps of C at the (m + 1)^2 pairs of edges.  On the box, where C
-    is constant on the support, every cell is exact.  Output row r in ``rows``,
-    centred on grid index r + k.size // 2, reads block rows i = r .. r +
-    k.size - 1 with weight k[r + k.size - 1 - i], so only those rows are built,
-    and none for a zero coefficient (``k = np.ones(1)`` keeps the block
-    itself); a zero weight adds nothing.  Returns the first output row, the
-    index on ``grid`` of the first column and the weighted rows (the block
-    zero outside it), built row by row.  Rows x cells x (m + 1)^2 past
-    ``MAX_CONVOLVE_WORK`` raise ``GuardError`` before any row is formed.
+    is constant on the support, every cell is exact.  Output row r, centred
+    on grid index r + k.size // 2, reads block rows i = r .. r + k.size - 1
+    with weight k[r + k.size - 1 - i], so only the block rows that some row
+    of ``rows`` reads are built, and none for a zero coefficient
+    (``k = np.ones(1)`` keeps the block itself); a zero weight adds nothing.
+    Returns the position in ``rows`` of the first row within reach of the
+    block, the index on ``grid`` of the first column and the weighted rows
+    from there on to the last row within reach (the block zero outside it),
+    built row by row.  Rows x cells x (m + 1)^2 past ``MAX_CONVOLVE_WORK``
+    raise ``GuardError`` before any row is formed.
     """
     s = model.support(params)
     idx = np.nonzero(np.abs(grid) <= s + step)[0]
     reach = k.size - 1
-    built = np.nonzero((idx >= rows.start) & (idx < rows.stop + reach))[0]
+    # block row idx[i] is read by the rows r with idx[i] - reach <= r <= idx[i]
+    built = np.flatnonzero(np.searchsorted(rows, idx + 1)
+                           > np.searchsorted(rows, idx - reach))
     m = int(np.clip(np.ceil(400 * min(step, 2 * s) / params.coherence_time), 1, 16))
     guard("central block work", built.size * idx.size * (m + 1) ** 2, MAX_CONVOLVE_WORK)
     lo, hi = np.split(np.clip(grid[idx, None] + [-step / 2, step / 2], -s, s), 2, 1)
@@ -307,17 +314,17 @@ def _ccr_block(
     central = model.TRIPLE_TERMS[params.statistics]["central"]
     w = k * (-central / step**2)
     lags = np.flatnonzero(w)  # one run: a kernel's support is one interval
-    top = max(rows.start, idx[built[0]] - reach)
-    out = np.zeros((min(rows.stop, idx[built[-1]] + 1) - top, idx.size))
+    top, bottom = np.searchsorted(rows, [idx[0] - reach, idx[-1] + 1])
+    out = np.zeros((bottom - top, idx.size))
     for i in built if lags.size else ():
         p1 = model.auto_antider2(params, edges[i, :, None, None] - edges, 1)
         # cells farther apart than s + step are exact zeros, not rounding residue
         row = np.einsum("p,pvq,vq->v", steps[i], p1, steps)
         row *= np.abs(grid[idx] - grid[idx[i]]) < s + step
-        # output rows r0 .. r1 - 1 read this row at non-zero weights w[r - d]
+        # the rows rows[r0 .. r1 - 1] read this row at non-zero weights w[r - d]
         d = idx[i] - reach
-        r0, r1 = max(top, d + lags[0]), min(rows.stop, d + lags[-1] + 1)
-        out[r0 - top : r1 - top] += w[r0 - d : r1 - d, None] * row
+        r0, r1 = np.searchsorted(rows, [d + lags[0], d + lags[-1] + 1])
+        out[r0 - top : r1 - top] += w[rows[r0:r1] - d, None] * row
     return int(top), int(idx[0]), out
 
 
@@ -344,10 +351,10 @@ def smear_curves(
     m = kernel.half_len
     grid = _delay_grid(kernel, delays)
     i0 = (grid.size - 1) // 2 - m  # t1 = 0 on the output axis
-    row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1))
     idx = _grid_index(grid[m : grid.size - m], delays)
+    row, c2_sm = _smeared_rows(params, kernel, grid, slice(i0, i0 + 1), idx)
     g2 = kernel.samples.sum() * kernel.sample_step + c2_sm / params.pair_rate**2
-    gbar = row[0, idx] / params.pair_rate**3 / (g2[i0] * g2[idx])
+    gbar = row[0] / params.pair_rate**3 / (g2[i0] * g2[idx])
     return CorrelationCurve(delays, g2[idx]), CorrelationCurve(delays, gbar)
 
 

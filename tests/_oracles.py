@@ -205,7 +205,7 @@ def dense_p_ssi(params, grid, step):
     auto_sq_cells = (q2(diff + step) - 2.0 * q2(diff) + q2(diff - step)) / step**2
     ccr = np.zeros((grid.size, grid.size))
     row0, col0, block = smearing._ccr_block(params, grid, step, np.ones(1),
-                                            slice(0, grid.size))
+                                            np.arange(grid.size))
     ccr[row0 : row0 + block.shape[0], col0 : col0 + block.shape[1]] = block
     values = r**3 + r * (c2[:, None] + c2[None, :]) + r * auto_sq_cells + ccr
     return CorrelationSurface(grid, values)

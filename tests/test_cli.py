@@ -185,6 +185,43 @@ class TestCliCommands:
                   for k in (0, 1))
         assert t1[:, 0].tobytes() == t2[0].tobytes() == delays.tobytes()
 
+    def test_coarse_wide_surface(self, tmp_path):
+        # 1 ns cells over a 3e-7 s span: 601^2 written cells, although the
+        # 50 ps sample grid beneath them spans 1.5e8 cells
+        config = tmp_path / "wide.ini"
+        config.write_text(DESK_CONFIG.replace("= 5e-11", "= 1e-9")
+                          .replace("window.span_s          = 2e-8",
+                                   "window.span_s          = 3e-7"))
+        out = tmp_path / "wide"
+        assert main(["smear", str(config), "-o", str(out), "--surface"]) == 0
+        body = [ln for ln in (out / "p_ssi_smeared.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(body) == 601 * 601
+
+    @pytest.mark.parametrize("command", ["analytic", "smear", "simulate", "sweep",
+                                         "compare"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, command):
+        # a Latin-1 byte in a scenario file or a curve CSV: main returns 2
+        # naming the file, where it raised UnicodeDecodeError (a traceback)
+        out = tmp_path / "out"
+        if command == "compare":
+            bad = tmp_path / "bad.csv"
+            text = "delay_s,value,stderr\n0.0,1.0,0.1\n# caf\xe9\n"
+            args = ["compare", str(bad), str(bad)]
+        else:
+            bad = tmp_path / "bad.ini"
+            text = DESK_CONFIG + "# caf\xe9\n"
+            args = [command, str(bad), "-o", str(out)]
+            if command == "sweep":
+                args[2:2] = ["--key", "window.tauc_s", "--values", "5e-9"]
+                args.append("smear")
+        bad.write_bytes(text.encode("latin-1"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "UTF-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_simulate_count_round_trip(self, config_path, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", config_path, "-o", str(sim)]) == 0
@@ -361,8 +398,11 @@ class TestCliCommands:
             ("count", {"window.span_s": "1e4", "window.bin_s": "1e3"}),
             ("count", {"window.tauc_s": "1e4", "window.span_s": "3e4",
                        "window.bin_s": "1e3"}),
-            # the delay grid widened by the kernel: 1.5e8 surface cells
+            # the delay grid widened by the kernel: 1.44e8 written surface cells
             ("smear --surface", {"window.span_s": "3e-7"}),
+            # a kernel sample step of 0: the grid guard, not a division by it
+            ("smear", {"chain.jitter_s": "5e-324"}),
+            ("smear --surface", {"chain.jitter_s": "5e-324"}),
             # R^3 past the largest float
             ("analytic", {"source.rate_hz": "1e103"}),
             ("analytic", {"source.rate_hz": "1e300"}),
@@ -391,9 +431,13 @@ class TestCliCommands:
                 "-o", str(out), *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # mu >= 0.1 at 1e30 pairs/s
+            # numpy's floating-point warnings (divide by zero, overflow) fail
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(args)
         assert code in (2, 3)
-        assert capsys.readouterr().err.startswith(("config error: ", "guard tripped: "))
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "guard tripped: "))
+        assert "Warning" not in err
         # no partial product set, not even a temporary file
         assert not [*out.glob("*.csv"), *out.glob("*.tmp")]
 

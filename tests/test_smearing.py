@@ -315,7 +315,7 @@ class TestSmearSurface:
 
         p = SourceParams(1e6, 1e-9)
         k = build_kernel(1e-9, 0.0, 5e-11)
-        # 12001 grid points: 1.44e8 cells, 1.15 GB of float64
+        # 11,957 written rows and columns: 1.43e8 cells, 1.14 GB of float64
         tracemalloc.start()
         try:
             with pytest.raises(GuardError, match="cells"):
@@ -335,7 +335,7 @@ class TestSmearSurface:
         tracemalloc.start()
         try:
             block = smearing._ccr_block(p, grid, 5e-11, np.ones(1),
-                                        slice(0, grid.size))[-1]
+                                        np.arange(grid.size))[-1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -356,7 +356,7 @@ class TestSmearSurface:
         try:
             with pytest.raises(GuardError, match="central block work"):
                 smearing._ccr_block(p, grid, 5e-11, np.ones(1),
-                                    slice(400_000 - 10_000, 400_000 + 10_001))
+                                    np.arange(400_000 - 10_000, 400_000 + 10_001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,7 +369,7 @@ class TestSmearSurface:
         p = SourceParams(2e7, dt)
         step = 5e-11
         block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.ones(1),
-                                   slice(0, 1043))[-1]
+                                   np.arange(1043))[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(1.5 * p.pair_rate**2 * dt, rel=1e-12)
 
@@ -379,7 +379,7 @@ class TestSmearSurface:
         step = 5e-11
         grid = np.arange(-521, 522) * step
         row0, col0, block = smearing._ccr_block(p, grid, step, np.ones(1),
-                                                slice(0, grid.size))
+                                                np.arange(grid.size))
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         area = hexagon_cell_areas(rows, cols, step, dt / 2)
@@ -406,7 +406,7 @@ class TestSmearSurface:
         p = SourceParams(2e7, 1e-9, "triangle")
         step = 5e-11
         block = smearing._ccr_block(p, np.arange(-521, 522) * step, step, np.ones(1),
-                                   slice(0, 1043))[-1]
+                                   np.arange(1043))[-1]
         mass = block.sum() * step**2
         assert mass == pytest.approx(2 * j * p.pair_rate**2 * 1e-9, rel=1e-5)
 
@@ -451,7 +451,7 @@ class TestSmearSurface:
 
         grid = np.arange(-40, 41) * step
         row0, col0, block = smearing._ccr_block(p, grid, step, np.ones(1),
-                                                slice(0, grid.size))
+                                                np.arange(grid.size))
         rows = grid[row0 : row0 + block.shape[0]]
         cols = grid[col0 : col0 + block.shape[1]]
         assert rows[0] < -dt and cols[-1] > dt
@@ -480,6 +480,34 @@ class TestSmearSurface:
             AnalysisWindow(5e-9, 1e-9, 2e-8).delays().tobytes())
         i = smearing._grid_index(fine.axis, coarse.axis)
         assert coarse.values.tobytes() == fine.values[np.ix_(i, i)].tobytes()
+
+    @pytest.mark.parametrize("shape", ["box", "triangle"])
+    @pytest.mark.parametrize("statistics", ["thermal", "poisson"])
+    def test_coarse_wide_surface_builds_only_its_cells(self, shape, statistics):
+        # a 3e-7 s span of 1 ns cells: 601^2 written cells on a sample grid of
+        # 12,243 points (1.5e8 cells), so only the kept rows and columns may
+        # be built; the cells within the desk span are the 50 ps surface's
+        import tracemalloc
+
+        p = SourceParams(2e7, 1e-9, shape, statistics)
+        k = build_kernel(5e-9, 1e-9, 1e-9)
+        k.samples
+        tracemalloc.start()
+        try:
+            coarse = smear_surface(p, k, 3e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 10**6
+        assert coarse.values.shape == (601, 601)
+        assert coarse.axis.tobytes() == (
+            AnalysisWindow(5e-9, 1e-9, 3e-7).delays().tobytes())
+        fine = smear_surface(p, build_kernel(5e-9, 1e-9, 5e-11), 2e-8)
+        near = np.flatnonzero(np.abs(coarse.axis) <= 2e-8)
+        i = smearing._grid_index(fine.axis, coarse.axis[near])
+        assert near.size == 41
+        assert (coarse.values[np.ix_(near, near)].tobytes()
+                == fine.values[np.ix_(i, i)].tobytes())
 
     @pytest.mark.parametrize("shape, tauc, taud, step, half_span", [
         ("box", 5e-9, 1e-9, 5e-11, 2.605e-8),  # README desk: 1043^2 cells
